@@ -19,7 +19,6 @@ from .errors import (
 )
 from .estimator import (
     EstimatorConfig,
-    EstimatorState,
     data_matrix_deriv,
     estimate_deriv,
     filter_deriv,
@@ -39,14 +38,12 @@ from .linearizer import (
 )
 from .model import PlantParams, extended_deriv, motor_forces, plant_deriv
 from .sim import (
-    CompositeState,
     Metrics,
     SimConfig,
     TimeSeries,
     rk4_step,
     simulate,
     summarize,
-    total_deriv,
 )
 from .tracker import DesiredState, GainSet, brunovsky_matrices, place_gains, tracking_v
 from .trajectory import (

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import BicopterError, ParseError, ValidationError
 from .estimator import EstimatorConfig
-from .linearizer import lie_relative_degree_check
 from .model import PlantParams
 from .sim import SimConfig, TimeSeries, simulate, summarize
 from .tracker import brunovsky_matrices, place_gains
@@ -42,7 +41,7 @@ def _parse_floats(raw: str) -> tuple:
     return tuple(float(v) for v in raw.split(","))
 
 
-# key -> (target section dict key, parser)
+# key -> parser of its raw value
 _KEYS = {
     "plant.m": float,
     "plant.j": float,

@@ -2,20 +2,38 @@
 
 The rigid-body dynamics are linear in theta = (1/m, 1/J):
 
-    x_dot - Psi(x) = Phi(x, u) theta.
+    x_dot - Psi(x) = Phi(x, u) theta,
+
+    Psi = (x[3], x[4], x[5], 0, -g, 0)
+    Phi = rows 0-2: (0, 0)
+          row 3:    (-sin(x[2]) u[0], 0)
+          row 4:    ( cos(x[2]) u[0], 0)
+          row 5:    (0, u[1])
+
+The kinematic rows 0-2 carry no parameter, 1/m enters only rows 3-4 and
+1/J only row 5. The two columns of Phi have disjoint nonzero rows, so
+Phi^T Phi, and with it the accumulated data matrix phibar, is exactly
+diagonal: the estimator is two scalar channels k = 0, 1,
+
+    Xi_k = phibar_k theta_hat_k - xbar_k,
+
+coupled only through the norm |Xi| in the two-power flow. This is the
+scalar-channel form that dynamic regressor extension and mixing (DREM)
+constructs on purpose (Aranovskiy, Bobtsov, Ortega, Pyrkin, "Performance
+enhancement of parameter estimators via dynamic regressor extension and
+mixing", IEEE TAC 62(7), 2017); here the regressor has it by structure.
+Only filter states of the parameter rows 3-5 that are not identically zero
+are kept: rows 0-2 only ever meet zero rows of Phi.
 
 Both sides are passed through the stable filter 1/(s + gamma) so that no
 derivative of x is ever needed; the improper block s x/(s + gamma) is
 realized as x - gamma * (x/(s + gamma)). Filter outputs feed
 forgetting-factor data accumulators (xbar, phibar), and the estimate
-follows a two-power gradient flow on the residual
-
-    Xi = phibar theta_hat - xbar,
-
-whose fractional exponent drives the error to zero in finite time while
-the >1 exponent keeps the far-field rate high. The flow is non-Lipschitz
-at Xi = 0; a dead zone of radius eps stops the update once the residual is
-at machine-precision scale.
+follows a two-power gradient flow on the residual Xi, whose fractional
+exponent drives the error to zero in finite time while the >1 exponent
+keeps the far-field rate high. The flow is non-Lipschitz at Xi = 0; a dead
+zone of radius eps stops the update once the residual is at
+machine-precision scale.
 """
 
 from dataclasses import dataclass
@@ -25,7 +43,6 @@ from .errors import ValidationError
 
 __all__ = [
     "EstimatorConfig",
-    "EstimatorState",
     "regressor",
     "filter_deriv",
     "filter_outputs",
@@ -60,101 +77,68 @@ class EstimatorConfig:
             raise ValidationError("EstimatorConfig.eps must be >= 0")
 
 
-@dataclass
-class EstimatorState:
-    """Filter states, data accumulators, and the current estimate.
-
-    z1 filters x, z2 filters Psi(x), zphi filters Phi(x, u) row by row;
-    all start at zero, as do xbar and phibar.
-    """
-
-    z1: tuple  # 6
-    z2: tuple  # 6
-    zphi: tuple  # 6 rows of (col1, col2)
-    xbar: tuple  # 2
-    phibar: tuple  # 2x2 row-major, symmetric
-    theta_hat: tuple  # 2
-
-    @classmethod
-    def zeros(cls, theta0=(2.0, 10.0)) -> "EstimatorState":
-        return cls(
-            z1=(0.0,) * 6,
-            z2=(0.0,) * 6,
-            zphi=((0.0, 0.0),) * 6,
-            xbar=(0.0, 0.0),
-            phibar=(0.0, 0.0, 0.0, 0.0),
-            theta_hat=tuple(theta0),
-        )
-
-
 def regressor(x, u, g: float) -> tuple:
-    """Known part Psi and parameter-multiplying matrix Phi of the dynamics.
+    """Nonzero entries of Psi and Phi in the parameter rows 3-5.
 
-    Rows 1-3 of Phi are zero (the kinematic rows carry no parameter).
-    Returns (psi, phi) with psi a 6-tuple and phi 6 rows of 2-tuples.
+    Returns (psi4, phi) with psi4 = Psi[4] = -g and
+    phi = (Phi[3][0], Phi[4][0], Phi[5][1]). Rows 0-2 of Psi repeat
+    x[3:6] and never reach the estimate; Psi[3] = Psi[5] = 0.
     """
     s3, c3 = sin(x[2]), cos(x[2])
-    psi = (x[3], x[4], x[5], 0.0, -g, 0.0)
-    phi = (
-        (0.0, 0.0),
-        (0.0, 0.0),
-        (0.0, 0.0),
-        (-s3 * u[0], 0.0),
-        (c3 * u[0], 0.0),
-        (0.0, u[1]),
+    return -g, (-s3 * u[0], c3 * u[0], u[1])
+
+
+def filter_deriv(z, x, u, g: float, gamma: float) -> tuple:
+    """Derivatives of the live filter states.
+
+    z = (z1[3], z1[4], z1[5], z2[4], zphi[3][0], zphi[4][0], zphi[5][1]):
+    z1 filters x, z2 filters Psi and zphi filters Phi, each by
+    1/(s + gamma) from zero.
+    """
+    psi4, phi = regressor(x, u, g)
+    return (
+        -gamma * z[0] + x[3],
+        -gamma * z[1] + x[4],
+        -gamma * z[2] + x[5],
+        -gamma * z[3] + psi4,
+        -gamma * z[4] + phi[0],
+        -gamma * z[5] + phi[1],
+        -gamma * z[6] + phi[2],
     )
-    return psi, phi
 
 
-def filter_deriv(st: EstimatorState, x, u, g: float, gamma: float) -> tuple:
-    """Derivatives of the three first-order filter banks."""
-    psi, phi = regressor(x, u, g)
-    dz1 = tuple(-gamma * st.z1[i] + x[i] for i in range(6))
-    dz2 = tuple(-gamma * st.z2[i] + psi[i] for i in range(6))
-    dzphi = tuple(
-        (-gamma * st.zphi[i][0] + phi[i][0], -gamma * st.zphi[i][1] + phi[i][1])
-        for i in range(6)
-    )
-    return dz1, dz2, dzphi
-
-
-def filter_outputs(st: EstimatorState, x, gamma: float) -> tuple:
-    """Filtered regressor pair (x_f, Phi_f).
+def filter_outputs(z, x, gamma: float) -> tuple:
+    """Filtered regressor pair (x_f, Phi_f) in rows 3-5.
 
     x_f realizes s x/(s+gamma) - Psi/(s+gamma) as x - gamma z1 - z2, so no
     derivative of x appears; Phi_f is the zphi filter state directly.
     """
-    x_f = tuple(x[i] - gamma * st.z1[i] - st.z2[i] for i in range(6))
-    return x_f, st.zphi
+    x_f = (x[3] - gamma * z[0], x[4] - gamma * z[1] - z[3], x[5] - gamma * z[2])
+    return x_f, z[4:7]
 
 
-def data_matrix_deriv(st: EstimatorState, x_f, phi_f, forgetting: float) -> tuple:
-    """Forgetting-factor accumulators: (dxbar, dphibar).
+def data_matrix_deriv(xbar, phibar, x_f, phi_f, forgetting: float) -> tuple:
+    """Forgetting-factor accumulators per channel: (dxbar, dphibar).
 
-    xbar collects Phi_f^T x_f, phibar collects Phi_f^T Phi_f; phibar stays
-    symmetric positive semidefinite from zero initialization.
+    xbar collects Phi_f^T x_f and phibar the diagonal of Phi_f^T Phi_f,
+    which stays nonnegative from zero initialization.
     """
-    ptx0 = sum(phi_f[i][0] * x_f[i] for i in range(6))
-    ptx1 = sum(phi_f[i][1] * x_f[i] for i in range(6))
-    p00 = sum(phi_f[i][0] * phi_f[i][0] for i in range(6))
-    p01 = sum(phi_f[i][0] * phi_f[i][1] for i in range(6))
-    p11 = sum(phi_f[i][1] * phi_f[i][1] for i in range(6))
     lam = forgetting
-    dxbar = (-lam * st.xbar[0] + ptx0, -lam * st.xbar[1] + ptx1)
-    pb = st.phibar
+    dxbar = (
+        -lam * xbar[0] + (phi_f[0] * x_f[0] + phi_f[1] * x_f[1]),
+        -lam * xbar[1] + phi_f[2] * x_f[2],
+    )
     dphibar = (
-        -lam * pb[0] + p00,
-        -lam * pb[1] + p01,
-        -lam * pb[2] + p01,
-        -lam * pb[3] + p11,
+        -lam * phibar[0] + (phi_f[0] * phi_f[0] + phi_f[1] * phi_f[1]),
+        -lam * phibar[1] + phi_f[2] * phi_f[2],
     )
     return dxbar, dphibar
 
 
 def estimate_deriv(theta_hat, xbar, phibar, cfg: EstimatorConfig) -> tuple:
-    """Two-power gradient flow on the residual Xi = phibar theta_hat - xbar."""
-    xi0 = phibar[0] * theta_hat[0] + phibar[1] * theta_hat[1] - xbar[0]
-    xi1 = phibar[2] * theta_hat[0] + phibar[3] * theta_hat[1] - xbar[1]
+    """Two-power gradient flow on the residual Xi_k = phibar_k theta_hat_k - xbar_k."""
+    xi0 = phibar[0] * theta_hat[0] - xbar[0]
+    xi1 = phibar[1] * theta_hat[1] - xbar[1]
     n = (xi0 * xi0 + xi1 * xi1) ** 0.5
     if n <= cfg.eps:
         return (0.0, 0.0)

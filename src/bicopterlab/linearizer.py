@@ -79,11 +79,17 @@ def beta(chi, est: ParamEstimate) -> np.ndarray:
     )
 
 
-def beta_inv(chi, est: ParamEstimate, u_min: float = U_MIN) -> np.ndarray:
-    """Closed-form inverse of `beta`; valid only away from zero thrust."""
+def _guarded_thrust(chi, u_min: float) -> float:
+    """chi7, after checking it is far enough from zero to invert the input map."""
     x7 = chi[6]
     if abs(x7) < u_min:
         raise SingularThrust(f"|chi7| = {abs(x7):g} < u_min = {u_min:g}")
+    return x7
+
+
+def beta_inv(chi, est: ParamEstimate, u_min: float = U_MIN) -> np.ndarray:
+    """Closed-form inverse of `beta`; valid only away from zero thrust."""
+    x7 = _guarded_thrust(chi, u_min)
     m, j = est.m_hat, est.j_hat
     s3, c3 = sin(chi[2]), cos(chi[2])
     return np.array(
@@ -96,9 +102,7 @@ def beta_inv(chi, est: ParamEstimate, u_min: float = U_MIN) -> np.ndarray:
 
 def iol_w(chi, v, est: ParamEstimate, u_min: float = U_MIN) -> tuple:
     """Linearizing feedback w = -beta^-1 (alpha - v), returned as (w1, w2)."""
-    x7 = chi[6]
-    if abs(x7) < u_min:
-        raise SingularThrust(f"|chi7| = {abs(x7):g} < u_min = {u_min:g}")
+    x7 = _guarded_thrust(chi, u_min)
     m, j = est.m_hat, est.j_hat
     s3, c3 = sin(chi[2]), cos(chi[2])
     a1, a2 = alpha(chi, est)
@@ -185,8 +189,6 @@ class RelativeDegreeReport:
     beta_matrix: np.ndarray  # analytic beta at the same state, true params
     k3_rel_err: float
     passed: bool
-    lower_tol: float = 1e-6
-    k3_tol: float = 1e-4
 
     def lines(self):
         """Render as stable key: value lines for the CLI."""

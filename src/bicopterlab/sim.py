@@ -1,20 +1,24 @@
 """Closed-loop simulation: plant, controller, and estimator in one ODE.
 
 All continuous-time laws (extended plant, regressor filters, data
-accumulators, estimate flow) are stacked into a single 40-state vector and
+accumulators, estimate flow) are stacked into a single 21-state vector and
 integrated synchronously with a fixed-step classical Runge-Kutta scheme;
 there is no sample-and-hold. Runs are bitwise deterministic for a fixed
 config.
 
-Composite state layout (flat, 40 floats):
+Composite state layout (flat, 21 floats):
 
-    0..7    chi   (plant + thrust chain)
-    8..13   z1    (filter on x)
-    14..19  z2    (filter on Psi)
-    20..31  zphi  (filter on Phi, row-major 6x2)
-    32..33  xbar
-    34..37  phibar (row-major 2x2)
-    38..39  theta_hat
+    0..7    chi        (plant + thrust chain)
+    8..10   z1[3:6]    (filter on x)
+    11      z2[4]      (filter on Psi)
+    12..14  zphi       (filter on Phi[3][0], Phi[4][0], Phi[5][1])
+    15..16  xbar       (one entry per estimator channel)
+    17..18  phibar     (diagonal; the off-diagonal is identically zero)
+    19..20  theta_hat
+
+Filter states that are identically zero, or that only ever meet a zero
+row of Phi, are not integrated; see the estimator module for why the two
+parameter channels decouple.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +30,6 @@ import numpy as np
 from .errors import EmptySeries, NonFiniteState, SingularThrust, ValidationError
 from .estimator import (
     EstimatorConfig,
-    EstimatorState,
     data_matrix_deriv,
     estimate_deriv,
     filter_deriv,
@@ -40,17 +43,20 @@ from .trajectory import EllipseSpec, HilbertSpec, ellipse_ref, hilbert_ref
 
 __all__ = [
     "SimConfig",
-    "CompositeState",
     "TimeSeries",
     "Metrics",
     "COLUMNS",
     "rk4_step",
-    "total_deriv",
     "simulate",
     "summarize",
 ]
 
-N_STATE = 40
+N_STATE = 21
+_CHI = slice(0, 8)
+_FILTERS = slice(8, 15)
+_XBAR = slice(15, 17)
+_PHIBAR = slice(17, 19)
+_THETA = slice(19, 21)
 
 # Settling thresholds used by the summary metrics.
 SETTLE_POS_TOL = 0.05  # m
@@ -107,39 +113,8 @@ class SimConfig:
             sx, sy = self.traj.start()
             x = (sx, sy, 0.0, 0.0, 0.0, 0.0)
         chi7 = self.plant.g / self.theta0[0]
-        y = list(x) + [chi7, 0.0]
-        y += [0.0] * 32
-        y[38], y[39] = self.theta0
-        return y
-
-
-@dataclass
-class CompositeState:
-    """Structured view of the flat 40-state vector."""
-
-    chi: tuple
-    est: EstimatorState
-
-    @classmethod
-    def from_flat(cls, y) -> "CompositeState":
-        return cls(
-            chi=tuple(y[0:8]),
-            est=EstimatorState(
-                z1=tuple(y[8:14]),
-                z2=tuple(y[14:20]),
-                zphi=tuple((y[20 + 2 * i], y[21 + 2 * i]) for i in range(6)),
-                xbar=tuple(y[32:34]),
-                phibar=tuple(y[34:38]),
-                theta_hat=tuple(y[38:40]),
-            ),
-        )
-
-    def to_flat(self) -> list:
-        e = self.est
-        y = list(self.chi) + list(e.z1) + list(e.z2)
-        for row in e.zphi:
-            y.extend(row)
-        y += list(e.xbar) + list(e.phibar) + list(e.theta_hat)
+        y = list(x) + [chi7, 0.0] + [0.0] * (N_STATE - 10)
+        y[_THETA] = self.theta0
         return y
 
 
@@ -148,51 +123,38 @@ def _gains_for(poles: tuple) -> GainSet:
     return place_gains(poles)
 
 
+def _control(chi, theta, t: float, cfg: SimConfig) -> tuple:
+    """Controller outputs (xi, des, v, w) at one instant."""
+    m_hat, j_hat = params_from_theta(theta, cfg.est.theta_floor)
+    est = ParamEstimate((1.0 / m_hat, 1.0 / j_hat))
+    xi = xi_of_chi(chi, est, cfg.plant.g)
+    des = cfg.reference(t)
+    v = tracking_v(xi, des, _gains_for(cfg.poles))
+    return xi, des, v, iol_w(chi, v, est)
+
+
 def _deriv_flat(y, t: float, cfg: SimConfig) -> list:
     """Time derivative of the flat composite state."""
     p = cfg.plant
     ecfg = cfg.est
-    chi = y[0:8]
-    theta = (y[38], y[39])
-    m_hat, j_hat = params_from_theta(theta, ecfg.theta_floor)
-    est = ParamEstimate((1.0 / m_hat, 1.0 / j_hat))
-
-    xi = xi_of_chi(chi, est, p.g)
-    des = cfg.reference(t)
-    v = tracking_v(xi, des, _gains_for(cfg.poles))
-    w = iol_w(chi, v, est)
+    chi = y[_CHI]
+    theta = y[_THETA]
+    w = _control(chi, theta, t, cfg)[3]
     dchi = extended_deriv(chi, w, p)
 
     x = chi[0:6]
     u = (chi[6], w[1])
-    st = EstimatorState(
-        z1=y[8:14],
-        z2=y[14:20],
-        zphi=((y[20], y[21]), (y[22], y[23]), (y[24], y[25]),
-              (y[26], y[27]), (y[28], y[29]), (y[30], y[31])),
-        xbar=y[32:34],
-        phibar=y[34:38],
-        theta_hat=theta,
-    )
-    dz1, dz2, dzphi = filter_deriv(st, x, u, p.g, ecfg.gamma)
-    x_f, phi_f = filter_outputs(st, x, ecfg.gamma)
-    dxbar, dphibar = data_matrix_deriv(st, x_f, phi_f, ecfg.forgetting)
+    z = y[_FILTERS]
+    xbar = y[_XBAR]
+    phibar = y[_PHIBAR]
+    dz = filter_deriv(z, x, u, p.g, ecfg.gamma)
+    x_f, phi_f = filter_outputs(z, x, ecfg.gamma)
+    dxbar, dphibar = data_matrix_deriv(xbar, phibar, x_f, phi_f, ecfg.forgetting)
     if cfg.adaptive:
-        dtheta = estimate_deriv(theta, st.xbar, st.phibar, ecfg)
+        dtheta = estimate_deriv(theta, xbar, phibar, ecfg)
     else:
         dtheta = (0.0, 0.0)
-
-    out = list(dchi) + list(dz1) + list(dz2)
-    for row in dzphi:
-        out.extend(row)
-    out += [dxbar[0], dxbar[1], dphibar[0], dphibar[1], dphibar[2], dphibar[3],
-            dtheta[0], dtheta[1]]
-    return out
-
-
-def total_deriv(state: CompositeState, t: float, cfg: SimConfig) -> CompositeState:
-    """Structured wrapper over the flat closed-loop derivative."""
-    return CompositeState.from_flat(_deriv_flat(state.to_flat(), t, cfg))
+    return [*dchi, *dz, *dxbar, *dphibar, *dtheta]
 
 
 def rk4_step(state, t: float, dt: float, deriv) -> list:
@@ -242,9 +204,6 @@ class TimeSeries:
         idx = self.columns.index(name)
         return np.array([r[idx] for r in self.rows])
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows)
-
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
             f.write(",".join(self.columns) + "\n")
@@ -262,15 +221,9 @@ class TimeSeries:
 
 def _record(y, t: float, cfg: SimConfig) -> tuple:
     """Logged row at one instant; recomputes the controller outputs."""
-    p = cfg.plant
-    theta = (y[38], y[39])
-    m_hat, j_hat = params_from_theta(theta, cfg.est.theta_floor)
-    est = ParamEstimate((1.0 / m_hat, 1.0 / j_hat))
-    chi = y[0:8]
-    xi = xi_of_chi(chi, est, p.g)
-    des = cfg.reference(t)
-    v = tracking_v(xi, des, _gains_for(cfg.poles))
-    w = iol_w(chi, v, est)
+    chi = y[_CHI]
+    theta = y[_THETA]
+    xi, des, v, w = _control(chi, theta, t, cfg)
     tt = cfg.theta_true
     theta_err = ((theta[0] - tt[0]) ** 2 + (theta[1] - tt[1]) ** 2) ** 0.5
     return (

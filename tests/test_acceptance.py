@@ -16,7 +16,9 @@ from bicopterlab.estimator import EstimatorConfig, filter_outputs
 from bicopterlab.linearizer import ParamEstimate, beta, beta_inv, lie_relative_degree_check
 from bicopterlab.model import PlantParams
 from bicopterlab.sim import (
-    CompositeState,
+    _CHI,
+    _FILTERS,
+    _PHIBAR,
     SimConfig,
     _deriv_flat,
     rk4_step,
@@ -25,6 +27,7 @@ from bicopterlab.sim import (
 )
 from bicopterlab.tracker import brunovsky_matrices, place_gains
 from bicopterlab.trajectory import HilbertSpec, hilbert_waypoints
+from bicopterlab.verify import fourth_derivative_rel_err
 
 DESIGN_POLES = (-4.5, -4.0, -5.0, -5.5)
 KNOWN_CFG = SimConfig(adaptive=False, theta0=(1.0, 20.0))
@@ -57,8 +60,10 @@ def hilbert_adaptive():
 def adaptive_internals():
     """5 s adaptive run integrated by hand to expose estimator internals.
 
-    Returns the worst filtered-regressor residual for t >= 1 s and the
-    smallest eigenvalue of the accumulated data matrix over the run.
+    Returns the worst filtered-regressor residual over the parameter rows
+    3-5 for t >= 1 s, and the smallest eigenvalue of the accumulated data
+    matrix over the run. phibar is diagonal, so its eigenvalues are its
+    diagonal entries.
     """
     cfg = replace(ADAPTIVE_CFG, t_end=5.0)
     y = cfg.initial_state()
@@ -69,16 +74,15 @@ def adaptive_internals():
     for i in range(int(round(cfg.t_end / dt))):
         y = rk4_step(y, i * dt, dt, lambda s, t: _deriv_flat(s, t, cfg))
         if (i + 1) % cfg.log_every == 0:
-            st = CompositeState.from_flat(y)
-            x = st.chi[:6]
-            x_f, phi_f = filter_outputs(st.est, x, cfg.est.gamma)
+            x_f, phi_f = filter_outputs(y[_FILTERS], y[_CHI][:6], cfg.est.gamma)
+            # rows 3 and 4 carry 1/m, row 5 carries 1/J
             resid = np.array(
-                [x_f[k] - phi_f[k][0] * theta[0] - phi_f[k][1] * theta[1] for k in range(6)]
+                [x_f[0] - phi_f[0] * theta[0], x_f[1] - phi_f[1] * theta[0],
+                 x_f[2] - phi_f[2] * theta[1]]
             )
             if (i + 1) * dt >= 1.0:
                 worst_resid = max(worst_resid, float(np.linalg.norm(resid)))
-            P = np.array(st.est.phibar).reshape(2, 2)
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (P + P.T)).min()))
+            min_eig = min(min_eig, *y[_PHIBAR])
     return worst_resid, min_eig
 
 
@@ -112,20 +116,7 @@ def test_criterion_02_relative_degree_oracle():
 
 def test_criterion_03_exact_linearization_identity(ellipse_known):
     ts, _ = ellipse_known
-    t = ts.column("t")
-    h = t[1] - t[0]
-    # 7-point central 4th-derivative stencil, O(h^4); the startup transient
-    # is too rich in high derivatives for the plain 5-point stencil.
-    w = (-1.0 / 6.0, 2.0, -6.5, 28.0 / 3.0, -6.5, 2.0, -1.0 / 6.0)
-    worst = 0.0
-    for pos_col, v_col in (("r1", "v1"), ("r2", "v2")):
-        y = ts.column(pos_col)
-        v = ts.column(v_col)
-        d4 = (sum(w[k] * y[k : len(y) - 6 + k] for k in range(6)) + w[6] * y[6:]) / h**4
-        center = slice(3, len(y) - 3)
-        mask = t[center] > 0.5
-        rel = np.abs(d4 - v[center]) / np.maximum(1.0, np.abs(v[center]))
-        worst = max(worst, float(rel[mask].max()))
+    worst = fourth_derivative_rel_err(ts)
     ok = worst < 1e-3
     _verdict(3, "exact linearization", ok, f"worst fd4-vs-v rel err={worst:.2e}")
     assert ok

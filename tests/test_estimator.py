@@ -6,7 +6,6 @@ import pytest
 from bicopterlab.errors import ValidationError
 from bicopterlab.estimator import (
     EstimatorConfig,
-    EstimatorState,
     data_matrix_deriv,
     estimate_deriv,
     filter_deriv,
@@ -37,118 +36,133 @@ def test_config_invariants():
             EstimatorConfig(**bad)
 
 
+def test_parameter_rows_are_disjoint():
+    # The premise of the two-channel estimator: the kinematic rows carry no
+    # parameter, 1/m moves only rows 3-4 and 1/J only row 5, so the two
+    # columns of Phi have disjoint nonzero rows and phibar is diagonal.
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        x = tuple(rng.normal(size=6))
+        u = tuple(rng.normal(size=2) * 5.0)
+        m, J = rng.uniform(0.5, 3.0), rng.uniform(0.01, 0.2)
+        dx = plant_deriv(x, u, PlantParams(m=m, J=J))
+        assert dx[0:3] == x[3:6]
+        moved_by_m = plant_deriv(x, u, PlantParams(m=2.0 * m, J=J))
+        moved_by_j = plant_deriv(x, u, PlantParams(m=m, J=2.0 * J))
+        assert {i for i in range(6) if moved_by_m[i] != dx[i]} == {3, 4}
+        assert {i for i in range(6) if moved_by_j[i] != dx[i]} == {5}
+
+
 def test_regressor_identity():
-    # plant_deriv - Psi = Phi (1/m, 1/J) exactly, for random states/inputs.
+    # plant_deriv - Psi = Phi (1/m, 1/J) in the parameter rows 3-5, for
+    # random states/inputs.
     rng = np.random.default_rng(21)
     for _ in range(1000):
         p = PlantParams(m=rng.uniform(0.5, 3.0), J=rng.uniform(0.01, 0.2))
         x = tuple(rng.normal(size=6))
         u = tuple(rng.normal(size=2) * 5.0)
-        psi, phi = regressor(x, u, p.g)
+        psi4, phi = regressor(x, u, p.g)
         dx = plant_deriv(x, u, p)
         theta = (1.0 / p.m, 1.0 / p.J)
-        for i in range(6):
-            want = psi[i] + phi[i][0] * theta[0] + phi[i][1] * theta[1]
-            assert dx[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert dx[3] == pytest.approx(phi[0] * theta[0], rel=1e-12, abs=1e-12)
+        assert dx[4] == pytest.approx(psi4 + phi[1] * theta[0], rel=1e-12, abs=1e-12)
+        assert dx[5] == pytest.approx(phi[2] * theta[1], rel=1e-12, abs=1e-12)
 
 
 def test_regressor_rows():
-    psi, phi = regressor((0.0,) * 6, (5.0, 0.2), 9.81)
-    assert psi == (0.0, 0.0, 0.0, 0.0, -9.81, 0.0)
-    assert phi[0] == (0.0, 0.0) and phi[1] == (0.0, 0.0) and phi[2] == (0.0, 0.0)
-    assert phi[3] == (0.0, 0.0)  # -sin(0) u1
-    assert phi[4] == (5.0, 0.0)
-    assert phi[5] == (0.0, 0.2)
+    psi4, phi = regressor((0.0,) * 6, (5.0, 0.2), 9.81)
+    assert psi4 == -9.81
+    assert phi == (0.0, 5.0, 0.2)  # Phi[3][0] = -sin(0) u1
 
 
 def test_regressor_no_excitation():
     rng = np.random.default_rng(22)
     _, phi = regressor(tuple(rng.normal(size=6)), (0.0, 0.0), 9.81)
-    assert all(row == (0.0, 0.0) for row in phi)
+    assert phi == (0.0, 0.0, 0.0)
 
 
 def test_filter_first_order_response():
-    # A constant unit regressor entry filtered by 1/(s + 10) follows the
+    # Constant regressor entries filtered by 1/(s + 10) follow the
     # closed-form step response (1 - e^{-10 t}) / 10.
     gamma = 10.0
+    g = 9.81
     x = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    u = (0.0, 1.0)  # unit torque puts a 1 in row 6, column 2 of Phi
-    st = EstimatorState.zeros()
+    u = (0.0, 1.0)  # unit torque puts a 1 in Phi[5][1]
 
     def deriv(z, t):
-        s = EstimatorState.zeros()
-        s.zphi = tuple((z[2 * i], z[2 * i + 1]) for i in range(6))
-        dz1, dz2, dzphi = filter_deriv(s, x, u, 9.81, gamma)
-        return [val for row in dzphi for val in row]
+        return filter_deriv(z, x, u, g, gamma)
 
-    z = [0.0] * 12
+    z = [0.0] * 7
     dt = 1e-4
     for i in range(5000):
         z = rk4_step(z, i * dt, dt, deriv)
-    t = 0.5
-    assert z[11] == pytest.approx((1.0 - np.exp(-gamma * t)) / gamma, rel=1e-9)
-    assert all(val == 0.0 for val in z[:11])
+    step = (1.0 - np.exp(-gamma * 0.5)) / gamma
+    assert z[6] == pytest.approx(step, rel=1e-9)
+    assert z[3] == pytest.approx(-g * step, rel=1e-9)  # Psi[4] = -g
+    assert z[0:3] == [0.0, 0.0, 0.0] and z[4:6] == [0.0, 0.0]
 
 
 def test_filter_outputs_realization():
     # x_f is realized without differentiating x: x - gamma z1 - z2.
     rng = np.random.default_rng(23)
-    st = EstimatorState.zeros()
-    st.z1 = tuple(rng.normal(size=6))
-    st.z2 = tuple(rng.normal(size=6))
+    z = tuple(rng.normal(size=7))
     x = tuple(rng.normal(size=6))
-    xf, phif = filter_outputs(st, x, 10.0)
-    for i in range(6):
-        assert xf[i] == x[i] - 10.0 * st.z1[i] - st.z2[i]
-    assert phif == st.zphi
+    xf, phif = filter_outputs(z, x, 10.0)
+    assert xf == (x[3] - 10.0 * z[0], x[4] - 10.0 * z[1] - z[3], x[5] - 10.0 * z[2])
+    assert phif == z[4:7]
+
+
+def _full_phi(phi_f):
+    """Rows 3-5 of Phi_f as a 3x2 matrix, zeros included."""
+    return np.array([[phi_f[0], 0.0], [phi_f[1], 0.0], [0.0, phi_f[2]]])
 
 
 def test_data_matrix_pure_decay():
-    st = EstimatorState.zeros()
-    st.xbar = (0.4, -0.2)
-    st.phibar = (1.0, 0.1, 0.1, 2.0)
-    zero_phif = ((0.0, 0.0),) * 6
-    dxbar, dphibar = data_matrix_deriv(st, (0.0,) * 6, zero_phif, 80.0)
+    xbar = (0.4, -0.2)
+    phibar = (1.0, 2.0)
+    dxbar, dphibar = data_matrix_deriv(xbar, phibar, (0.0,) * 3, (0.0,) * 3, 80.0)
     assert dxbar == pytest.approx((-80.0 * 0.4, -80.0 * -0.2))
-    assert dphibar == pytest.approx(tuple(-80.0 * v for v in st.phibar))
+    assert dphibar == pytest.approx((-80.0 * 1.0, -80.0 * 2.0))
 
 
 def test_data_matrix_equilibrium():
-    # At xbar = Phi_f^T x_f / lambda the accumulator is stationary.
+    # At xbar = Phi_f^T x_f / lambda and phibar = diag(Phi_f^T Phi_f) / lambda
+    # the accumulators are stationary.
     rng = np.random.default_rng(24)
     lam = 80.0
-    xf = tuple(rng.normal(size=6))
-    phif = tuple(tuple(rng.normal(size=2)) for _ in range(6))
-    P = np.array(phif)
-    st = EstimatorState.zeros()
-    st.xbar = tuple(P.T @ np.array(xf) / lam)
-    st.phibar = tuple((P.T @ P / lam).ravel())
-    dxbar, dphibar = data_matrix_deriv(st, xf, phif, lam)
+    xf = tuple(rng.normal(size=3))
+    phif = tuple(rng.normal(size=3))
+    P = _full_phi(phif)
+    xbar = tuple(P.T @ np.array(xf) / lam)
+    phibar = tuple(np.diag(P.T @ P) / lam)
+    dxbar, dphibar = data_matrix_deriv(xbar, phibar, xf, phif, lam)
     assert np.asarray(dxbar) == pytest.approx(np.zeros(2), abs=1e-12)
-    assert np.asarray(dphibar) == pytest.approx(np.zeros(4), abs=1e-12)
+    assert np.asarray(dphibar) == pytest.approx(np.zeros(2), abs=1e-12)
 
 
 def test_data_matrix_symmetry():
+    # Phi_f^T Phi_f is symmetric with an exactly zero off-diagonal, so the
+    # accumulated matrix is its diagonal.
     rng = np.random.default_rng(25)
-    st = EstimatorState.zeros()
-    st.phibar = (1.0, 0.3, 0.3, 2.0)
-    phif = tuple(tuple(rng.normal(size=2)) for _ in range(6))
-    _, dphibar = data_matrix_deriv(st, (0.0,) * 6, phif, 80.0)
-    assert dphibar[1] == dphibar[2]
+    phif = tuple(rng.normal(size=3))
+    P = _full_phi(phif)
+    PtP = P.T @ P
+    assert PtP[0, 1] == PtP[1, 0] == 0.0
+    _, dphibar = data_matrix_deriv((0.0, 0.0), (0.0, 0.0), (0.0,) * 3, phif, 80.0)
+    assert np.asarray(dphibar) == pytest.approx(np.diag(PtP), rel=1e-15)
 
 
 def test_estimate_deriv_stationary_at_consistency():
-    phibar = (1.0, 0.2, 0.2, 3.0)
+    phibar = (1.0, 3.0)
     theta = (0.7, 1.4)
-    P = np.array(phibar).reshape(2, 2)
-    xbar = tuple(P @ np.array(theta))
+    xbar = (phibar[0] * theta[0], phibar[1] * theta[1])
     assert estimate_deriv(theta, xbar, phibar, CFG) == (0.0, 0.0)
 
 
 def test_estimate_deriv_unit_norm():
     cfg = EstimatorConfig(c1=1.0, c2=1.0)
     # phibar = I, theta - xbar chosen so Xi = (0.6, 0.8), unit norm
-    phibar = (1.0, 0.0, 0.0, 1.0)
+    phibar = (1.0, 1.0)
     theta = (0.6, 0.8)
     dtheta = estimate_deriv(theta, (0.0, 0.0), phibar, cfg)
     assert dtheta == pytest.approx((-1.2, -1.6), rel=1e-14)
@@ -156,7 +170,7 @@ def test_estimate_deriv_unit_norm():
 
 def test_estimate_deriv_two_power_value():
     # Xi = (0.01, 0) with the default gains; frozen high-precision value.
-    phibar = (1.0, 0.0, 0.0, 1.0)
+    phibar = (1.0, 1.0)
     theta = (0.01, 0.0)
     dtheta = estimate_deriv(theta, (0.0, 0.0), phibar, CFG)
     assert dtheta[0] == pytest.approx(TWO_POWER_RATE, rel=1e-14)
@@ -166,11 +180,10 @@ def test_estimate_deriv_two_power_value():
 def test_estimate_deriv_descent_direction():
     rng = np.random.default_rng(26)
     for _ in range(100):
-        A = rng.normal(size=(2, 2))
-        phibar = tuple((A.T @ A).ravel())  # PSD like the accumulated matrix
+        phibar = tuple(rng.normal(size=2) ** 2)  # nonnegative like the accumulated diagonal
         theta = tuple(rng.normal(size=2))
         xbar = tuple(rng.normal(size=2))
-        xi = np.array(phibar).reshape(2, 2) @ np.array(theta) - np.array(xbar)
+        xi = np.array(phibar) * np.array(theta) - np.array(xbar)
         dtheta = np.asarray(estimate_deriv(theta, xbar, phibar, CFG))
         inner = float(dtheta @ xi)
         if np.linalg.norm(xi) <= CFG.eps:
@@ -180,7 +193,7 @@ def test_estimate_deriv_descent_direction():
 
 
 def test_estimate_deriv_scale_invariant_direction():
-    phibar = (2.0, 0.3, 0.3, 1.0)
+    phibar = (2.0, 1.0)
     theta = (1.0, -0.5)
     xbar = (0.2, 0.1)
     d1 = np.asarray(estimate_deriv(theta, xbar, phibar, CFG))
@@ -192,7 +205,7 @@ def test_estimate_deriv_scale_invariant_direction():
 
 
 def test_estimate_deriv_dead_zone():
-    phibar = (1.0, 0.0, 0.0, 1.0)
+    phibar = (1.0, 1.0)
     theta = (1e-13, 0.0)  # |Xi| below eps = 1e-12
     assert estimate_deriv(theta, (0.0, 0.0), phibar, CFG) == (0.0, 0.0)
 

@@ -95,10 +95,15 @@ def test_beta_inverse_property():
 
 def test_beta_inv_guard():
     chi = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-9, 0.0)
-    with pytest.raises(SingularThrust):
+    with pytest.raises(SingularThrust) as by_inv:
         beta_inv(chi, EST_TRUE)
-    with pytest.raises(SingularThrust):
+    with pytest.raises(SingularThrust) as by_w:
         iol_w(chi, (0.0, 0.0), EST_TRUE)
+    assert str(by_inv.value) == str(by_w.value) == "|chi7| = 1e-09 < u_min = 0.1"
+    # the guard is strict: |chi7| = U_MIN is accepted
+    edge = chi[:6] + (-U_MIN, 0.0)
+    beta_inv(edge, EST_TRUE)
+    iol_w(edge, (0.0, 0.0), EST_TRUE)
 
 
 def test_iol_w_cancellation_point():

@@ -1,6 +1,9 @@
 """Closed-loop integration, logging, and summary metrics."""
 
+import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,18 +11,22 @@ import pytest
 from bicopterlab.errors import EmptySeries, SingularThrust, ValidationError
 from bicopterlab.sim import (
     COLUMNS,
-    CompositeState,
     Metrics,
     SimConfig,
     TimeSeries,
+    _deriv_flat,
     rk4_step,
     simulate,
     summarize,
-    total_deriv,
 )
 from bicopterlab.trajectory import HilbertSpec
 
 KNOWN = SimConfig(adaptive=False, theta0=(1.0, 20.0))
+
+# sha256 of the seed-0 telemetry of the benchmark's three workloads.
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+)
 
 
 def test_config_validation():
@@ -31,12 +38,6 @@ def test_config_validation():
         SimConfig(log_every=0)
     with pytest.raises(ValidationError):
         SimConfig(theta0=(2.0, -1.0))
-
-
-def test_composite_state_round_trip():
-    rng = np.random.default_rng(33)
-    y = list(rng.normal(size=40))
-    assert CompositeState.from_flat(y).to_flat() == y
 
 
 def test_rk4_constant():
@@ -64,15 +65,32 @@ def test_rk4_fourth_order_convergence():
     assert e1 / e2 == pytest.approx(16.0, rel=0.05)
 
 
-def test_total_deriv_equilibrium():
+def test_closed_loop_deriv_equilibrium():
     # Hovering on the clamped endpoint of the Hilbert path with true
     # parameters: the plant/controller states are stationary; only the
     # estimator filters still move.
-    cfg = SimConfig(traj=HilbertSpec(), t_end=40.0, adaptive=False, theta0=(1.0, 20.0))
-    chi = (3.0, 0.0, 0.0, 0.0, 0.0, 0.0, cfg.plant.m * cfg.plant.g, 0.0)
-    y = chi + (0.0,) * 30 + (1.0, 20.0)
-    d = total_deriv(CompositeState.from_flat(list(y)), 35.0, cfg)
-    assert np.asarray(d.chi) == pytest.approx(np.zeros(8), abs=1e-12)
+    cfg = SimConfig(traj=HilbertSpec(), t_end=40.0, adaptive=False, theta0=(1.0, 20.0),
+                    x0=(3.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    y = cfg.initial_state()
+    assert y[0:8] == [3.0, 0.0, 0.0, 0.0, 0.0, 0.0, cfg.plant.m * cfg.plant.g, 0.0]
+    d = _deriv_flat(y, 35.0, cfg)
+    assert len(y) == len(d) == 21
+    assert np.asarray(d[0:8]) == pytest.approx(np.zeros(8), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "workload, cfg",
+    [
+        ("ellipse_adaptive", SimConfig()),
+        ("hilbert_adaptive", SimConfig(traj=HilbertSpec(), t_end=30.0)),
+        ("ellipse_known_io", SimConfig(adaptive=False, theta0=(1.0, 20.0), log_every=1)),
+    ],
+)
+def test_canonical_telemetry_is_byte_identical(workload, cfg, tmp_path):
+    # The behaviour contract: the canonical runs write exactly the pinned CSV.
+    path = tmp_path / "run.csv"
+    simulate(cfg).to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[workload]
 
 
 def test_simulate_known_params_tracks():
