@@ -36,8 +36,8 @@ zone of radius eps stops the update once the residual is at
 machine-precision scale.
 """
 
-from dataclasses import dataclass
-from math import cos, sin
+from dataclasses import dataclass, fields
+from math import cos, isfinite, sin
 
 from .errors import ValidationError
 
@@ -66,6 +66,9 @@ class EstimatorConfig:
     theta_floor: float = 1e-3  # lower bound on theta entries in the control path
 
     def __post_init__(self):
+        for f in fields(self):
+            if not isfinite(getattr(self, f.name)):
+                raise ValidationError(f"EstimatorConfig.{f.name} must be finite")
         if not 0.0 < self.alpha1 < 1.0:
             raise ValidationError("EstimatorConfig.alpha1 must lie in (0, 1)")
         if not self.alpha2 > 1.0:

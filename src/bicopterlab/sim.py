@@ -27,7 +27,13 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import EmptySeries, NonFiniteState, SingularThrust, ValidationError
+from .errors import (
+    EmptySeries,
+    NonFiniteState,
+    ParseError,
+    SingularThrust,
+    ValidationError,
+)
 from .estimator import (
     EstimatorConfig,
     data_matrix_deriv,
@@ -82,14 +88,21 @@ class SimConfig:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValidationError("SimConfig.dt must be > 0")
+        if not isfinite(self.t_end):
+            raise ValidationError("SimConfig.t_end must be finite")
         if not self.t_end >= self.dt:
             raise ValidationError("SimConfig.t_end must be >= dt")
         if not self.log_every >= 1:
             raise ValidationError("SimConfig.log_every must be >= 1")
         if len(self.theta0) != 2 or self.theta0[0] <= 0.0 or self.theta0[1] <= 0.0:
             raise ValidationError("SimConfig.theta0 entries must be > 0")
-        if self.x0 is not None and len(self.x0) != 6:
-            raise ValidationError("SimConfig.x0 must have 6 entries")
+        if not all(isfinite(v) for v in self.theta0):
+            raise ValidationError("SimConfig.theta0 entries must be finite")
+        if self.x0 is not None:
+            if len(self.x0) != 6:
+                raise ValidationError("SimConfig.x0 must have 6 entries")
+            if not all(isfinite(v) for v in self.x0):
+                raise ValidationError("SimConfig.x0 entries must be finite")
 
     @property
     def theta_true(self) -> tuple:
@@ -195,7 +208,7 @@ COLUMNS = (
 
 @dataclass
 class TimeSeries:
-    """Logged per-step records of one simulation run."""
+    """Logged per-step records of one simulation run, one tuple per row."""
 
     columns: tuple = COLUMNS
     rows: list = field(default_factory=list)
@@ -205,18 +218,34 @@ class TimeSeries:
         return np.array([r[idx] for r in self.rows])
 
     def to_csv(self, path) -> None:
+        fmt = ",".join(["%.17g"] * len(self.columns)) + "\n"
         with open(path, "w") as f:
             f.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                f.write(",".join("%.17g" % v for v in row) + "\n")
+            f.writelines(fmt % row for row in self.rows)
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
-        with open(path) as f:
-            header = f.readline().strip()
-            columns = tuple(header.split(","))
-            rows = [tuple(float(v) for v in line.split(",")) for line in f if line.strip()]
-        return cls(columns=columns, rows=rows)
+        """Read a telemetry CSV written by to_csv; ParseError names the bad line.
+
+        Undecodable bytes become U+FFFD, which no header or number matches.
+        """
+        with open(path, errors="replace") as f:
+            if tuple(f.readline().strip().split(",")) != COLUMNS:
+                raise ParseError("header does not match the telemetry columns", 1)
+            rows = []
+            for line_no, line in enumerate(f, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    row = tuple(map(float, line.split(",")))
+                except ValueError as exc:
+                    raise ParseError(f"bad field: {exc}", line_no) from exc
+                if len(row) != len(COLUMNS):
+                    raise ParseError(
+                        f"expected {len(COLUMNS)} fields, got {len(row)}", line_no
+                    )
+                rows.append(row)
+        return cls(rows=rows)
 
 
 def _record(y, t: float, cfg: SimConfig) -> tuple:

@@ -5,10 +5,20 @@ jerk per axis) plus the 4th-derivative feedforward. The ellipse is smooth
 and carries an exact analytic feedforward; the Hilbert path is piecewise
 linear, so acceleration, jerk, and feedforward are zero and corners are
 genuinely nonsmooth.
+
+Each spec builds a table of the constants its reference needs on first
+use and keeps it for its lifetime: the ellipse's center, axis
+coefficients and powers of omega, and the Hilbert path's 15 segment rows
+plus its clamped end state. The table is computed with the same float
+operations, in the same order, as the per-call formulas it replaces, so
+the references are bit-identical to recomputing everything each call.
+It lives in the instance's __dict__ (`functools.cached_property`), not
+in a field, so it takes no part in __eq__, __hash__ or __repr__.
 """
 
 from dataclasses import dataclass
-from math import cos, radians, sin
+from functools import cached_property
+from math import cos, isfinite, radians, sin
 
 from .errors import ValidationError
 from .tracker import DesiredState
@@ -36,6 +46,9 @@ class EllipseSpec:
     omega: float = 1.0
 
     def __post_init__(self):
+        for name in ("a", "b", "phi", "omega"):
+            if not isfinite(getattr(self, name)):
+                raise ValidationError(f"EllipseSpec.{name} must be finite")
         for name in ("a", "b", "omega"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"EllipseSpec.{name} must be > 0")
@@ -47,6 +60,18 @@ class EllipseSpec:
     def start(self) -> tuple:
         return (0.0, 0.0)
 
+    @cached_property
+    def _table(self) -> tuple:
+        """(c1, c2, A1, B1, A2, B2, w, -w*w, w**3, w**4) of ellipse_ref."""
+        cphi, sphi = cos(self.phi), sin(self.phi)
+        w = self.omega
+        return (
+            *self.center,
+            -self.a * cphi, -self.b * sphi,
+            -self.a * sphi, self.b * cphi,
+            w, -w * w, w ** 3, w ** 4,
+        )
+
 
 def ellipse_ref(t: float, spec: EllipseSpec) -> DesiredState:
     """Desired chain state of the ellipse at time t.
@@ -54,23 +79,19 @@ def ellipse_ref(t: float, spec: EllipseSpec) -> DesiredState:
     Per axis the position is c + A cos(wt) + B sin(wt), so every
     derivative is analytic and the 4th derivative is w^4 (pos - c).
     """
-    w = spec.omega
-    cphi, sphi = cos(spec.phi), sin(spec.phi)
-    cw, sw = cos(w * t), sin(w * t)
     # position = center + (A, B) acting on (cos, sin) per axis
-    A1, B1 = -spec.a * cphi, -spec.b * sphi
-    A2, B2 = -spec.a * sphi, spec.b * cphi
-    c1, c2 = spec.center
+    c1, c2, A1, B1, A2, B2, w, nw2, w3, w4 = spec._table
+    cw, sw = cos(w * t), sin(w * t)
     p1 = c1 + A1 * cw + B1 * sw
     p2 = c2 + A2 * cw + B2 * sw
     v1 = w * (-A1 * sw + B1 * cw)
     v2 = w * (-A2 * sw + B2 * cw)
-    a1 = -w * w * (A1 * cw + B1 * sw)
-    a2 = -w * w * (A2 * cw + B2 * sw)
-    j1 = w ** 3 * (A1 * sw - B1 * cw)
-    j2 = w ** 3 * (A2 * sw - B2 * cw)
-    f1 = w ** 4 * (A1 * cw + B1 * sw)
-    f2 = w ** 4 * (A2 * cw + B2 * sw)
+    a1 = nw2 * (A1 * cw + B1 * sw)
+    a2 = nw2 * (A2 * cw + B2 * sw)
+    j1 = w3 * (A1 * sw - B1 * cw)
+    j2 = w3 * (A2 * sw - B2 * cw)
+    f1 = w4 * (A1 * cw + B1 * sw)
+    f2 = w4 * (A2 * cw + B2 * sw)
     return DesiredState(xi_d=(p1, v1, a1, j1, p2, v2, a2, j2), ff=(f1, f2))
 
 
@@ -92,8 +113,12 @@ class HilbertSpec:
         if self.order != 2:
             raise ValidationError("HilbertSpec.order must be 2")
         for name in ("size", "seg_time"):
+            if not isfinite(getattr(self, name)):
+                raise ValidationError(f"HilbertSpec.{name} must be finite")
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"HilbertSpec.{name} must be > 0")
+        if not all(isfinite(v) for v in self.origin):
+            raise ValidationError("HilbertSpec.origin entries must be finite")
 
     def start(self) -> tuple:
         return hilbert_waypoints(self)[0]
@@ -101,6 +126,22 @@ class HilbertSpec:
     @property
     def duration(self) -> float:
         return 15.0 * self.seg_time
+
+    @cached_property
+    def _table(self) -> tuple:
+        """(segments, end) of hilbert_ref.
+
+        segments holds one row (x0, y0, dx, dy, vx, vy) per segment; end is
+        the state clamped at the last waypoint.
+        """
+        pts = hilbert_waypoints(self)
+        segments = []
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            dx, dy = x1 - x0, y1 - y0
+            segments.append((x0, y0, dx, dy, dx / self.seg_time, dy / self.seg_time))
+        px, py = pts[15]
+        end = DesiredState(xi_d=(px, 0.0, 0.0, 0.0, py, 0.0, 0.0, 0.0), ff=(0.0, 0.0))
+        return tuple(segments), end
 
 
 def _hilbert_cell(d: int) -> tuple:
@@ -142,17 +183,13 @@ def hilbert_ref(t: float, spec: HilbertSpec) -> DesiredState:
     waypoint the reference clamps there with zero velocity. Feedforward is
     always zero: the path is nonsmooth and carries no 4th derivative.
     """
-    pts = hilbert_waypoints(spec)
-    seg = int(t // spec.seg_time) if t >= 0.0 else 0
+    segments, end = spec._table
+    seg_time = spec.seg_time
+    seg = int(t // seg_time) if t >= 0.0 else 0
     if seg >= 15:
-        px, py = pts[15]
-        return DesiredState(
-            xi_d=(px, 0.0, 0.0, 0.0, py, 0.0, 0.0, 0.0), ff=(0.0, 0.0)
-        )
-    frac = (t - seg * spec.seg_time) / spec.seg_time
-    (x0, y0), (x1, y1) = pts[seg], pts[seg + 1]
-    px = x0 + frac * (x1 - x0)
-    py = y0 + frac * (y1 - y0)
-    vx = (x1 - x0) / spec.seg_time
-    vy = (y1 - y0) / spec.seg_time
-    return DesiredState(xi_d=(px, vx, 0.0, 0.0, py, vy, 0.0, 0.0), ff=(0.0, 0.0))
+        return end
+    x0, y0, dx, dy, vx, vy = segments[seg]
+    frac = (t - seg * seg_time) / seg_time
+    return DesiredState(
+        xi_d=(x0 + frac * dx, vx, 0.0, 0.0, y0 + frac * dy, vy, 0.0, 0.0), ff=(0.0, 0.0)
+    )

@@ -5,6 +5,7 @@ import pytest
 
 from bicopterlab.cli import parse_config, run_cli
 from bicopterlab.errors import ParseError, ValidationError
+from bicopterlab.sim import COLUMNS
 from bicopterlab.trajectory import EllipseSpec, HilbertSpec
 
 
@@ -126,3 +127,61 @@ def test_verify_command(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "all_pass: true" in out
+
+
+def test_verify_dense_log_passes(tmp_path, capsys):
+    # At log_every = 1 the stencil still differences on the 10 ms grid.
+    cfg_path = tmp_path / "dense.cfg"
+    cfg_path.write_text("sim.log_every = 1\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "closed_loop_identity_pass: true" in out
+
+
+_HEADER = ",".join(COLUMNS) + "\n"
+_ROW = ",".join(["0"] * len(COLUMNS)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "data, line_no",
+    [
+        ((_HEADER + _ROW + _ROW[:-2] + "x\n").encode(), 3),  # non-numeric field
+        ((_HEADER + _ROW + "0,1\n").encode(), 3),  # short row
+        (b"t,x\n0,1\n", 1),  # foreign header
+        (b"\xff\xfe\x00\n", 1),  # not text
+    ],
+)
+def test_report_bad_csv_names_line(tmp_path, capsys, data, line_no):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_bytes(data)
+    rc = run_cli(["report", str(csv_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: line {line_no}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sim.t_end = inf",
+        "sim.x0 = 0, 0, 0, 0, 0, inf",
+        "sim.theta0 = nan, 10",
+        "trajectory.omega = inf",
+        "trajectory.phi_deg = nan",
+        "estimator.eps = nan",
+        "estimator.c1 = inf",
+        "trajectory.kind = hilbert\ntrajectory.size = inf",
+        "trajectory.kind = hilbert\ntrajectory.seg_time = nan",
+        "trajectory.kind = hilbert\ntrajectory.origin = 0, inf",
+    ],
+)
+def test_non_finite_config_values_rejected(tmp_path, capsys, line):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(line + "\n")
+    rc = run_cli(["simulate", str(cfg_path), str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err
+    assert not (tmp_path / "out.csv").exists()

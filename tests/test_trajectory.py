@@ -1,9 +1,15 @@
 """Ellipse and Hilbert reference trajectories."""
 
+from dataclasses import replace
+from math import cos, radians, sin
+
 import numpy as np
 import pytest
 
+from bicopterlab.cli import parse_config
 from bicopterlab.errors import ValidationError
+from bicopterlab.sim import SimConfig, simulate
+from bicopterlab.tracker import DesiredState
 from bicopterlab.trajectory import (
     EllipseSpec,
     HilbertSpec,
@@ -161,3 +167,87 @@ def test_hilbert_path_length_and_duration():
 def test_hilbert_ff_zero_everywhere():
     for t in np.linspace(0.0, HILBERT.duration, 301):
         assert hilbert_ref(float(t), HILBERT).ff == (0.0, 0.0)
+
+
+def _bits(des):
+    # float.hex tells -0.0 from 0.0, so the comparison is bit for bit
+    return [v.hex() for v in des.xi_d + des.ff]
+
+
+def _hilbert_ref_per_call(t, spec):
+    """Reference copy: rebuild the waypoints and interpolate on every call."""
+    pts = hilbert_waypoints(spec)
+    seg = int(t // spec.seg_time) if t >= 0.0 else 0
+    if seg >= 15:
+        px, py = pts[15]
+        return DesiredState(xi_d=(px, 0.0, 0.0, 0.0, py, 0.0, 0.0, 0.0), ff=(0.0, 0.0))
+    frac = (t - seg * spec.seg_time) / spec.seg_time
+    (x0, y0), (x1, y1) = pts[seg], pts[seg + 1]
+    px = x0 + frac * (x1 - x0)
+    py = y0 + frac * (y1 - y0)
+    vx = (x1 - x0) / spec.seg_time
+    vy = (y1 - y0) / spec.seg_time
+    return DesiredState(xi_d=(px, vx, 0.0, 0.0, py, vy, 0.0, 0.0), ff=(0.0, 0.0))
+
+
+def _ellipse_ref_per_call(t, spec):
+    """Reference copy: every coefficient recomputed on every call."""
+    w = spec.omega
+    cphi, sphi = cos(spec.phi), sin(spec.phi)
+    cw, sw = cos(w * t), sin(w * t)
+    A1, B1 = -spec.a * cphi, -spec.b * sphi
+    A2, B2 = -spec.a * sphi, spec.b * cphi
+    c1, c2 = spec.center
+    return DesiredState(
+        xi_d=(
+            c1 + A1 * cw + B1 * sw,
+            w * (-A1 * sw + B1 * cw),
+            -w * w * (A1 * cw + B1 * sw),
+            w ** 3 * (A1 * sw - B1 * cw),
+            c2 + A2 * cw + B2 * sw,
+            w * (-A2 * sw + B2 * cw),
+            -w * w * (A2 * cw + B2 * sw),
+            w ** 3 * (A2 * sw - B2 * cw),
+        ),
+        ff=(w ** 4 * (A1 * cw + B1 * sw), w ** 4 * (A2 * cw + B2 * sw)),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hilbert_table_matches_per_call_interpolation(seed):
+    rng = np.random.default_rng(seed)
+    spec = HilbertSpec(
+        size=float(3.0 + rng.uniform(-0.5, 0.5)),
+        seg_time=float(2.0 + rng.uniform(-0.3, 0.3)),
+        origin=(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0))),
+    )
+    times = [-1.0, -1e-12, 0.0, spec.duration, spec.duration + 1e-9, spec.duration + 7.0]
+    for k in range(16):
+        tk = k * spec.seg_time
+        times += [tk, np.nextafter(tk, -np.inf), np.nextafter(tk, np.inf), tk + 0.37]
+    times += list(rng.uniform(0.0, spec.duration, 200))
+    for t in times:
+        t = float(t)
+        assert _bits(hilbert_ref(t, spec)) == _bits(_hilbert_ref_per_call(t, spec)), t
+
+
+@pytest.mark.parametrize("phi_deg, omega", [(45.0, 1.0), (-17.5, 0.73), (130.0, 2.4)])
+def test_ellipse_table_matches_per_call_formula(phi_deg, omega):
+    spec = EllipseSpec(a=4.2, b=2.6, phi=radians(phi_deg), omega=omega)
+    for t in np.linspace(-1.0, 25.0, 401):
+        t = float(t)
+        assert _bits(ellipse_ref(t, spec)) == _bits(_ellipse_ref_per_call(t, spec)), t
+
+
+def test_built_table_leaves_spec_identity_alone():
+    for text, fresh in (
+        ("trajectory.kind = hilbert", SimConfig(traj=HilbertSpec(), t_end=30.0)),
+        ("", SimConfig(traj=EllipseSpec())),
+    ):
+        cfg = parse_config(text)
+        simulate(replace(cfg, t_end=0.05))
+        assert "_table" in vars(cfg.traj)
+        assert "_table" not in vars(fresh.traj)
+        assert cfg == fresh and cfg.traj == fresh.traj
+        assert hash(cfg) == hash(fresh) and hash(cfg.traj) == hash(fresh.traj)
+        assert repr(cfg.traj) == repr(fresh.traj)
