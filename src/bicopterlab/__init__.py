@@ -36,15 +36,8 @@ from .linearizer import (
     lie_relative_degree_check,
     xi_of_chi,
 )
-from .model import PlantParams, extended_deriv, motor_forces, plant_deriv
-from .sim import (
-    Metrics,
-    SimConfig,
-    TimeSeries,
-    rk4_step,
-    simulate,
-    summarize,
-)
+from .model import PlantParams, extended_deriv, motor_forces, plant_deriv, rk4_step
+from .sim import Metrics, SimConfig, TimeSeries, simulate, summarize
 from .tracker import DesiredState, GainSet, brunovsky_matrices, place_gains, tracking_v
 from .trajectory import (
     EllipseSpec,

@@ -8,12 +8,14 @@ Subcommands:
     report CSV                recompute metrics from a telemetry file
 
 Configs are flat key-value documents, one `section.key = value` per line,
-with `#` comments. Missing keys take the library defaults; unknown keys
-are rejected.
+with `#` comments; unknown keys are rejected. The key table is derived from
+the fields of the config dataclasses, and every default and every check is
+theirs, apart from the Hilbert run length HILBERT_T_END.
 """
 
 import argparse
 import sys
+from dataclasses import fields, is_dataclass
 from math import radians
 
 import numpy as np
@@ -28,6 +30,10 @@ from .verify import run_verification
 
 __all__ = ["parse_config", "run_cli", "main"]
 
+# Default run length (s) of a Hilbert path. The default path takes 15 segments
+# of 2 s, so SimConfig's 20 s, sized for the ellipse, would stop it early.
+HILBERT_T_END = 30.0
+
 
 def _parse_bool(raw: str) -> bool:
     if raw.lower() in ("true", "yes", "on", "1"):
@@ -41,43 +47,48 @@ def _parse_floats(raw: str) -> tuple:
     return tuple(float(v) for v in raw.split(","))
 
 
-# key -> parser of its raw value
-_KEYS = {
-    "plant.m": float,
-    "plant.j": float,
-    "plant.ell": float,
-    "plant.g": float,
-    "gains.poles": _parse_floats,
-    "estimator.c1": float,
-    "estimator.c2": float,
-    "estimator.alpha1": float,
-    "estimator.alpha2": float,
-    "estimator.lambda": float,
-    "estimator.gamma": float,
-    "estimator.eps": float,
-    "estimator.theta_floor": float,
-    "trajectory.kind": str,
-    "trajectory.a": float,
-    "trajectory.b": float,
-    "trajectory.phi_deg": float,
-    "trajectory.omega": float,
-    "trajectory.size": float,
-    "trajectory.seg_time": float,
-    "trajectory.origin": _parse_floats,
-    "sim.dt": float,
-    "sim.t_end": float,
-    "sim.adaptive": _parse_bool,
-    "sim.theta0": _parse_floats,
-    "sim.x0": _parse_floats,
-    "sim.log_every": int,
+# field type -> parser of its raw value
+_PARSERS = {
+    float: float, int: int, bool: _parse_bool, tuple: _parse_floats, tuple | None: _parse_floats
 }
 
-_ELLIPSE_KEYS = {"trajectory.a", "trajectory.b", "trajectory.phi_deg", "trajectory.omega"}
-_HILBERT_KEYS = {"trajectory.size", "trajectory.seg_time", "trajectory.origin"}
+_KINDS = {"ellipse": EllipseSpec, "hilbert": HilbertSpec}
+
+# config section -> the dataclasses whose fields it sets
+_SECTIONS = {
+    "plant": (PlantParams,),
+    "estimator": (EstimatorConfig,),
+    "trajectory": tuple(_KINDS.values()),
+    "sim": (SimConfig,),
+}
+
+# section.field -> (key, parser) for the keys that do not spell their field
+_RENAMED = {
+    "estimator.forgetting": ("estimator.lambda", float),
+    "sim.poles": ("gains.poles", _parse_floats),
+    "trajectory.phi": ("trajectory.phi_deg", lambda raw: radians(float(raw))),
+}
+
+
+def _key_table() -> dict:
+    """key -> (owning dataclass, field name, parser of the raw value)."""
+    table = {"trajectory.kind": (None, "kind", str)}
+    for section, owners in _SECTIONS.items():
+        for cls in owners:
+            for f in fields(cls):
+                if is_dataclass(f.default):
+                    continue  # SimConfig's plant, est and traj: sections of their own
+                name = f"{section}.{f.name}"
+                key, parse = _RENAMED.get(name, (name.lower(), _PARSERS[f.type]))
+                table[key] = (cls, f.name, parse)
+    return table
+
+
+_KEYS = _key_table()
 
 
 def parse_config(text: str) -> SimConfig:
-    """Build a validated SimConfig from a flat key-value document."""
+    """Build a validated SimConfig; each dataclass gets only the keys the document sets."""
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -87,73 +98,29 @@ def parse_config(text: str) -> SimConfig:
             raise ParseError(f"expected 'key = value', got {body!r}", line_no)
         key, _, raw = body.partition("=")
         key = key.strip().lower()
-        raw = raw.strip()
         if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", line_no)
         try:
-            values[key] = _KEYS[key](raw)
+            values[key] = _KEYS[key][2](raw.strip())
         except ValueError as exc:
             raise ParseError(f"bad value for {key}: {exc}", line_no) from exc
 
-    kind = values.get("trajectory.kind", "ellipse").lower()
-    if kind not in ("ellipse", "hilbert"):
+    kind = values.pop("trajectory.kind", "ellipse").lower()
+    if kind not in _KINDS:
         raise ValidationError(f"trajectory.kind must be ellipse or hilbert, got {kind!r}")
-    wrong = _HILBERT_KEYS if kind == "ellipse" else _ELLIPSE_KEYS
-    used_wrong = sorted(set(values) & wrong)
+    owners = (PlantParams, EstimatorConfig, _KINDS[kind], SimConfig)
+    used_wrong = sorted(k for k in values if _KEYS[k][0] not in owners)
     if used_wrong:
         raise ValidationError(f"keys {used_wrong} do not apply to trajectory.kind = {kind}")
 
-    plant = PlantParams(
-        m=values.get("plant.m", 1.0),
-        J=values.get("plant.j", 0.05),
-        ell=values.get("plant.ell", 0.5),
-        g=values.get("plant.g", 9.81),
-    )
-    est = EstimatorConfig(
-        c1=values.get("estimator.c1", 6.0),
-        c2=values.get("estimator.c2", 3.0),
-        alpha1=values.get("estimator.alpha1", 0.2),
-        alpha2=values.get("estimator.alpha2", 1.2),
-        forgetting=values.get("estimator.lambda", 80.0),
-        gamma=values.get("estimator.gamma", 10.0),
-        eps=values.get("estimator.eps", 1e-12),
-        theta_floor=values.get("estimator.theta_floor", 1e-3),
-    )
-    if kind == "ellipse":
-        traj = EllipseSpec(
-            a=values.get("trajectory.a", 5.0),
-            b=values.get("trajectory.b", 3.0),
-            phi=radians(values.get("trajectory.phi_deg", 45.0)),
-            omega=values.get("trajectory.omega", 1.0),
-        )
-        t_end_default = 20.0
-    else:
-        origin = values.get("trajectory.origin", (0.0, 0.0))
-        if len(origin) != 2:
-            raise ValidationError("trajectory.origin must have 2 entries")
-        traj = HilbertSpec(
-            size=values.get("trajectory.size", 3.0),
-            seg_time=values.get("trajectory.seg_time", 2.0),
-            origin=tuple(origin),
-        )
-        t_end_default = 30.0
-
-    poles = values.get("gains.poles", (-4.5, -4.0, -5.0, -5.5))
-    if len(poles) != 4:
-        raise ValidationError("gains.poles must have 4 entries")
-
-    return SimConfig(
-        plant=plant,
-        poles=poles,
-        est=est,
-        traj=traj,
-        dt=values.get("sim.dt", 1e-3),
-        t_end=values.get("sim.t_end", t_end_default),
-        adaptive=values.get("sim.adaptive", True),
-        theta0=values.get("sim.theta0", (2.0, 10.0)),
-        x0=values.get("sim.x0"),
-        log_every=values.get("sim.log_every", 10),
-    )
+    kwargs = {cls: {} for cls in owners}
+    for key, value in values.items():
+        cls, name, _ = _KEYS[key]
+        kwargs[cls][name] = value
+    if kind == "hilbert":
+        kwargs[SimConfig].setdefault("t_end", HILBERT_T_END)
+    plant, est, traj = (cls(**kwargs[cls]) for cls in owners[:3])
+    return SimConfig(plant=plant, est=est, traj=traj, **kwargs[SimConfig])
 
 
 def _load_config(path: str | None) -> SimConfig:

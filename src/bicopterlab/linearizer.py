@@ -19,8 +19,8 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
-from .errors import IllConditioned, SingularThrust
-from .model import PlantParams, extended_deriv
+from .errors import IllConditioned, NonFiniteState, SingularThrust
+from .model import PlantParams, extended_deriv, rk4_step
 
 __all__ = [
     "U_MIN",
@@ -79,17 +79,17 @@ def beta(chi, est: ParamEstimate) -> np.ndarray:
     )
 
 
-def _guarded_thrust(chi, u_min: float) -> float:
+def _guarded_thrust(chi) -> float:
     """chi7, after checking it is far enough from zero to invert the input map."""
     x7 = chi[6]
-    if abs(x7) < u_min:
-        raise SingularThrust(f"|chi7| = {abs(x7):g} < u_min = {u_min:g}")
+    if abs(x7) < U_MIN:
+        raise SingularThrust(f"|chi7| = {abs(x7):g} < u_min = {U_MIN:g}")
     return x7
 
 
-def beta_inv(chi, est: ParamEstimate, u_min: float = U_MIN) -> np.ndarray:
+def beta_inv(chi, est: ParamEstimate) -> np.ndarray:
     """Closed-form inverse of `beta`; valid only away from zero thrust."""
-    x7 = _guarded_thrust(chi, u_min)
+    x7 = _guarded_thrust(chi)
     m, j = est.m_hat, est.j_hat
     s3, c3 = sin(chi[2]), cos(chi[2])
     return np.array(
@@ -100,9 +100,9 @@ def beta_inv(chi, est: ParamEstimate, u_min: float = U_MIN) -> np.ndarray:
     )
 
 
-def iol_w(chi, v, est: ParamEstimate, u_min: float = U_MIN) -> tuple:
+def iol_w(chi, v, est: ParamEstimate) -> tuple:
     """Linearizing feedback w = -beta^-1 (alpha - v), returned as (w1, w2)."""
-    x7 = _guarded_thrust(chi, u_min)
+    x7 = _guarded_thrust(chi)
     m, j = est.m_hat, est.j_hat
     s3, c3 = sin(chi[2]), cos(chi[2])
     a1, a2 = alpha(chi, est)
@@ -146,21 +146,26 @@ _D2_J = (-2, -1, 0, 1, 2)
 _D3_W = (1.0, -8.0, 13.0, -13.0, 8.0, -1.0)
 _D3_J = (-3, -2, -1, 1, 2, 3)
 
+# Stencil step along the drift flow (s), RK4 substeps per flow, and the
+# size of the state perturbation that stands in for each input column.
+_STENCIL_H = 2e-3
+_FLOW_SUBSTEPS = 30
+_PERTURB = 0.1
 
-def _drift_flow_output(chi, p: PlantParams, t: float, n_sub: int = 30) -> tuple:
-    """Position output H(chi(t)) of the undriven extended flow, via RK4."""
-    w0 = (0.0, 0.0)
-    h = t / n_sub
+
+def _drift_flow_output(chi, p: PlantParams, t: float) -> tuple:
+    """Position output H(chi(t)) of the undriven extended flow, via RK4; t < 0 runs backwards."""
+
+    def drift(y, _t):
+        return extended_deriv(y, (0.0, 0.0), p)
+
+    h = t / _FLOW_SUBSTEPS
     y = list(chi)
-    for _ in range(n_sub):
-        k1 = extended_deriv(y, w0, p)
-        y2 = [y[i] + 0.5 * h * k1[i] for i in range(8)]
-        k2 = extended_deriv(y2, w0, p)
-        y3 = [y[i] + 0.5 * h * k2[i] for i in range(8)]
-        k3 = extended_deriv(y3, w0, p)
-        y4 = [y[i] + h * k3[i] for i in range(8)]
-        k4 = extended_deriv(y4, w0, p)
-        y = [y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(8)]
+    try:
+        for i in range(_FLOW_SUBSTEPS):
+            y = rk4_step(y, i * h, h, drift)
+    except NonFiniteState as exc:
+        raise IllConditioned("drift flow diverged inside the stencil") from exc
     return (y[0], y[1])
 
 
@@ -203,13 +208,7 @@ class RelativeDegreeReport:
         yield f"passed: {str(self.passed).lower()}"
 
 
-def lie_relative_degree_check(
-    chi,
-    p: PlantParams,
-    h: float = 2e-3,
-    eps: float = 0.1,
-    u_min: float = U_MIN,
-) -> RelativeDegreeReport:
+def lie_relative_degree_check(chi, p: PlantParams) -> RelativeDegreeReport:
     """Numerically probe how the input reaches the output derivatives.
 
     For each input channel, the output derivatives along the drift flow are
@@ -219,13 +218,12 @@ def lie_relative_degree_check(
 
     The perturbation directions are the columns of the input matrix: a unit
     step on chi8 for w1 and a step on chi6 scaled by 1/J for w2. alpha and
-    the order-3 derivatives are linear in chi6 and chi8, so eps can be
-    large, which keeps the divided stencil noise far below the tolerance.
+    the order-3 derivatives are linear in chi6 and chi8, so the
+    perturbation can be large, which keeps the divided stencil noise far
+    below the tolerance.
     """
-    if abs(chi[6]) <= u_min:
-        raise SingularThrust(f"|chi7| = {abs(chi[6]):g} <= u_min = {u_min:g}")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if abs(chi[6]) <= U_MIN:
+        raise SingularThrust(f"|chi7| = {abs(chi[6]):g} <= u_min = {U_MIN:g}")
 
     # (state index perturbed, output scale of that input column)
     columns = ((7, 1.0), (5, 1.0 / p.J))
@@ -234,11 +232,11 @@ def lie_relative_degree_check(
     for c, (idx, col_scale) in enumerate(columns):
         chi_p = list(chi)
         chi_m = list(chi)
-        chi_p[idx] += eps
-        chi_m[idx] -= eps
-        d_p = _output_time_derivs(chi_p, p, h)
-        d_m = _output_time_derivs(chi_m, p, h)
-        num[:, :, c] = (d_p - d_m) / (2.0 * eps) * col_scale
+        chi_p[idx] += _PERTURB
+        chi_m[idx] -= _PERTURB
+        d_p = _output_time_derivs(chi_p, p, _STENCIL_H)
+        d_m = _output_time_derivs(chi_m, p, _STENCIL_H)
+        num[:, :, c] = (d_p - d_m) / (2.0 * _PERTURB) * col_scale
         scale = np.maximum(scale, np.abs(d_p).max(axis=1))
         scale = np.maximum(scale, np.abs(d_m).max(axis=1))
 

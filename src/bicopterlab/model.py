@@ -13,18 +13,22 @@ the body vertical axis; the physical inputs are folded into
 i.e. total thrust and differential torque. The extended model appends the
 thrust and its rate as states, chi = (x, u1, u1_dot), so that the new input
 w = (u1_ddot, u2) enters through an invertible map away from chi7 = 0.
+
+`rk4_step` is the one integrator, shared by the closed-loop simulation and
+the drift flows of the relative-degree oracle.
 """
 
-from dataclasses import dataclass
-from math import cos, sin
+from dataclasses import dataclass, fields
+from math import cos, isfinite, sin
 
-from .errors import ValidationError
+from .errors import NonFiniteState, ValidationError
 
 __all__ = [
     "PlantParams",
     "plant_deriv",
     "extended_deriv",
     "motor_forces",
+    "rk4_step",
 ]
 
 
@@ -38,9 +42,11 @@ class PlantParams:
     g: float = 9.81
 
     def __post_init__(self):
-        for name in ("m", "J", "ell", "g"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"PlantParams.{name} must be > 0")
+        for f in fields(self):
+            if not isfinite(getattr(self, f.name)):
+                raise ValidationError(f"PlantParams.{f.name} must be finite")
+            if not getattr(self, f.name) > 0.0:
+                raise ValidationError(f"PlantParams.{f.name} must be > 0")
 
 
 def plant_deriv(x, u, p: PlantParams) -> tuple:
@@ -87,3 +93,24 @@ def motor_forces(u, p: PlantParams) -> tuple:
     """
     half_diff = u[1] / p.ell / 2.0
     return (u[0] / 2.0 - half_diff, u[0] / 2.0 + half_diff)
+
+
+def rk4_step(state, t: float, dt: float, deriv) -> list:
+    """One classical 4th-order Runge-Kutta step of an arbitrary ODE.
+
+    `state` is any sequence of floats and `deriv(state, t)` returns a
+    sequence of the same length. dt may be negative, which integrates
+    backwards in time.
+    """
+    n = len(state)
+    k1 = deriv(state, t)
+    h2 = 0.5 * dt
+    k2 = deriv([state[i] + h2 * k1[i] for i in range(n)], t + h2)
+    k3 = deriv([state[i] + h2 * k2[i] for i in range(n)], t + h2)
+    k4 = deriv([state[i] + dt * k3[i] for i in range(n)], t + dt)
+    sixth = dt / 6.0
+    out = [state[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(n)]
+    if not isfinite(sum(out)):
+        if not all(isfinite(v) for v in out):
+            raise NonFiniteState("integration step produced a non-finite entry")
+    return out

@@ -21,7 +21,7 @@ row of Phi, are not integrated; see the estimator module for why the two
 parameter channels decouple.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from math import isfinite
 
@@ -43,7 +43,7 @@ from .estimator import (
     params_from_theta,
 )
 from .linearizer import ParamEstimate, iol_w, xi_of_chi
-from .model import PlantParams, extended_deriv
+from .model import PlantParams, extended_deriv, rk4_step
 from .tracker import GainSet, place_gains, tracking_v
 from .trajectory import EllipseSpec, HilbertSpec, ellipse_ref, hilbert_ref
 
@@ -52,7 +52,6 @@ __all__ = [
     "TimeSeries",
     "Metrics",
     "COLUMNS",
-    "rk4_step",
     "simulate",
     "summarize",
 ]
@@ -86,6 +85,8 @@ class SimConfig:
     log_every: int = 10
 
     def __post_init__(self):
+        if len(self.poles) != 4:
+            raise ValidationError("SimConfig.poles must have 4 entries")
         if not self.dt > 0.0:
             raise ValidationError("SimConfig.dt must be > 0")
         if not isfinite(self.t_end):
@@ -168,28 +169,6 @@ def _deriv_flat(y, t: float, cfg: SimConfig) -> list:
     else:
         dtheta = (0.0, 0.0)
     return [*dchi, *dz, *dxbar, *dphibar, *dtheta]
-
-
-def rk4_step(state, t: float, dt: float, deriv) -> list:
-    """One classical 4th-order Runge-Kutta step of an arbitrary ODE.
-
-    `state` is any sequence of floats and `deriv(state, t)` returns a
-    sequence of the same length.
-    """
-    if not dt > 0.0:
-        raise ValueError("dt must be > 0")
-    n = len(state)
-    k1 = deriv(state, t)
-    h2 = 0.5 * dt
-    k2 = deriv([state[i] + h2 * k1[i] for i in range(n)], t + h2)
-    k3 = deriv([state[i] + h2 * k2[i] for i in range(n)], t + h2)
-    k4 = deriv([state[i] + dt * k3[i] for i in range(n)], t + dt)
-    sixth = dt / 6.0
-    out = [state[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(n)]
-    if not isfinite(sum(out)):
-        if not all(isfinite(v) for v in out):
-            raise NonFiniteState("integration step produced a non-finite entry")
-    return out
 
 
 COLUMNS = (
@@ -281,17 +260,24 @@ def simulate(cfg: SimConfig) -> TimeSeries:
 
     try:
         ts.rows.append(_record(y, 0.0, cfg))
-    except (SingularThrust, NonFiniteState) as exc:
-        raise type(exc)(f"aborted at step 0 (t = 0 s): {exc}") from exc
+    except (SingularThrust, NonFiniteState, ArithmeticError) as exc:
+        raise _aborted(exc, 0, 0.0) from exc
     for i in range(n_steps):
         t = i * dt
         try:
             y = rk4_step(y, t, dt, deriv)
-        except (SingularThrust, NonFiniteState) as exc:
-            raise type(exc)(f"aborted at step {i} (t = {t:g} s): {exc}") from exc
-        if (i + 1) % cfg.log_every == 0 or i + 1 == n_steps:
-            ts.rows.append(_record(y, (i + 1) * dt, cfg))
+            if (i + 1) % cfg.log_every == 0 or i + 1 == n_steps:
+                ts.rows.append(_record(y, (i + 1) * dt, cfg))
+        except (SingularThrust, NonFiniteState, ArithmeticError) as exc:
+            raise _aborted(exc, i, t) from exc
     return ts
+
+
+def _aborted(exc: Exception, i: int, t: float) -> Exception:
+    """The error that ends a run at step i; float overflow ends as NonFiniteState."""
+    if isinstance(exc, ArithmeticError):
+        exc = NonFiniteState(f"{type(exc).__name__}: {exc}")
+    return type(exc)(f"aborted at step {i} (t = {t:g} s): {exc}")
 
 
 _NOT_REACHED = float("inf")
@@ -308,9 +294,8 @@ class Metrics:
     max_torque: float
 
     def lines(self):
-        for name in ("pos_rmse", "settle_time", "theta_converge_time",
-                     "max_thrust", "max_torque"):
-            yield f"{name}: {getattr(self, name):.17g}"
+        for f in fields(self):
+            yield f"{f.name}: {getattr(self, f.name):.17g}"
 
 
 def _first_sustained(t: np.ndarray, values: np.ndarray, tol: float) -> float:

@@ -101,22 +101,21 @@ class HilbertSpec:
 
     The 16 grid cells of the 4x4 stage are visited by 15 axis-aligned
     segments of length size/3, each traversed in seg_time seconds at
-    constant speed. Only order 2 is supported.
+    constant speed.
     """
 
-    order: int = 2
     size: float = 3.0
     seg_time: float = 2.0
     origin: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.order != 2:
-            raise ValidationError("HilbertSpec.order must be 2")
         for name in ("size", "seg_time"):
             if not isfinite(getattr(self, name)):
                 raise ValidationError(f"HilbertSpec.{name} must be finite")
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"HilbertSpec.{name} must be > 0")
+        if len(self.origin) != 2:
+            raise ValidationError("HilbertSpec.origin must have 2 entries")
         if not all(isfinite(v) for v in self.origin):
             raise ValidationError("HilbertSpec.origin entries must be finite")
 

@@ -15,6 +15,7 @@ from math import ceil
 
 import numpy as np
 
+from .errors import ValidationError
 from .linearizer import ParamEstimate, beta, beta_inv, lie_relative_degree_check
 from .sim import SimConfig, simulate
 
@@ -22,6 +23,11 @@ __all__ = ["run_verification"]
 
 # Smallest step of the 4th-derivative stencil (s): the default log interval.
 STENCIL_MIN_STEP = 0.01
+# Stencil centers before this time (s) fall in the startup transient.
+STENCIL_CUTOFF = 0.5
+# Random states probed by the relative-degree and the inverse checks.
+RELATIVE_DEGREE_STATES = 5
+BETA_INVERSE_STATES = 1000
 
 
 def _random_chi(rng: np.random.Generator, chi7_lo: float = 1.0, chi7_hi: float = 20.0):
@@ -30,12 +36,12 @@ def _random_chi(rng: np.random.Generator, chi7_lo: float = 1.0, chi7_hi: float =
     return chi
 
 
-def _check_relative_degree(cfg: SimConfig, emit, n_states: int = 5) -> bool:
+def _check_relative_degree(cfg: SimConfig, emit) -> bool:
     rng = np.random.default_rng(2023)
     worst_lower = 0.0
     worst_k3 = 0.0
     ok = True
-    for _ in range(n_states):
+    for _ in range(RELATIVE_DEGREE_STATES):
         report = lie_relative_degree_check(_random_chi(rng), cfg.plant)
         worst_lower = max(worst_lower, *report.lower_order_max.values())
         worst_k3 = max(worst_k3, report.k3_rel_err)
@@ -46,12 +52,12 @@ def _check_relative_degree(cfg: SimConfig, emit, n_states: int = 5) -> bool:
     return ok
 
 
-def _check_beta_inverse(cfg: SimConfig, emit, n_states: int = 1000) -> bool:
+def _check_beta_inverse(cfg: SimConfig, emit) -> bool:
     rng = np.random.default_rng(7)
     est = ParamEstimate(cfg.theta_true)
     worst = 0.0
     eye = np.eye(2)
-    for _ in range(n_states):
+    for _ in range(BETA_INVERSE_STATES):
         chi = _random_chi(rng, 0.11, 20.0)
         worst = max(worst, np.abs(beta(chi, est) @ beta_inv(chi, est) - eye).max())
     ok = worst < 1e-10
@@ -67,12 +73,21 @@ def fourth_derivative_rel_err(ts) -> float:
     v1, v2 at the stencil centers. The stencil takes every stride-th logged
     row, with the smallest stride whose step is at least STENCIL_MIN_STEP:
     rounding in the differences grows as h^-4, so a denser log must not
-    shrink the step.
+    shrink the step. A run with no stencil center past STENCIL_CUTOFF
+    raises ValidationError.
     """
     t = ts.column("t")
     # the slack keeps rounding in an exact ratio (10 + 2e-15) from adding 1
     stride = max(1, ceil(STENCIL_MIN_STEP / (t[1] - t[0]) - 1e-9))
+    t_last = t[-1]
     t = t[::stride]
+    center = slice(3, len(t) - 3)
+    mask = t[center] > STENCIL_CUTOFF
+    if not mask.any():
+        raise ValidationError(
+            f"the closed-loop identity needs a stencil center past the {STENCIL_CUTOFF:g} s"
+            f" cutoff; the logged run ends at {t_last:g} s"
+        )
     h = t[1] - t[0]
     # 7-point central 4th-derivative stencil, O(h^4): the startup transient
     # carries large 6th derivatives, so the plain 5-point O(h^2) stencil is
@@ -84,8 +99,6 @@ def fourth_derivative_rel_err(ts) -> float:
         v = ts.column(v_col)[::stride]
         d4 = sum(w[k] * y[k : len(y) - 6 + k] for k in range(6)) + w[6] * y[6:]
         d4 /= h ** 4
-        center = slice(3, len(y) - 3)
-        mask = t[center] > 0.5
         rel = np.abs(d4 - v[center]) / np.maximum(1.0, np.abs(v[center]))
         worst = max(worst, float(rel[mask].max()))
     return worst

@@ -1,12 +1,19 @@
 """Config parsing and the command-line entry points."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicopterlab.cli import parse_config, run_cli
-from bicopterlab.errors import ParseError, ValidationError
-from bicopterlab.sim import COLUMNS
+from bicopterlab.cli import _KEYS, parse_config, run_cli
+from bicopterlab.errors import BicopterError, ParseError, ValidationError
+from bicopterlab.sim import COLUMNS, SimConfig
 from bicopterlab.trajectory import EllipseSpec, HilbertSpec
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_empty_config_gives_defaults():
@@ -71,6 +78,24 @@ def test_wrong_kind_keys_rejected():
         parse_config("trajectory.kind = hilbert\ntrajectory.a = 5")
     with pytest.raises(ValidationError):
         parse_config("trajectory.size = 3")  # ellipse by default
+
+
+@pytest.mark.parametrize(
+    "text, build",
+    [
+        ("gains.poles = -1, -2, -3", lambda: SimConfig(poles=(-1.0, -2.0, -3.0))),
+        (
+            "trajectory.kind = hilbert\ntrajectory.origin = 0, 0, 0",
+            lambda: HilbertSpec(origin=(0.0, 0.0, 0.0)),
+        ),
+    ],
+)
+def test_length_checks_are_the_dataclasses(text, build):
+    with pytest.raises(ValidationError) as by_lib:
+        build()
+    with pytest.raises(ValidationError) as by_cli:
+        parse_config(text)
+    assert str(by_cli.value) == str(by_lib.value)
 
 
 def test_gains_command(capsys):
@@ -185,3 +210,88 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, line):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "finite" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["plant.m = 1e308", "plant.m = inf", "plant.j = inf", "plant.j = 1e308", "plant.m = 1e-308"],
+)
+def test_float_overflow_ends_as_one_line_error(tmp_path, capsys, line):
+    # 1e308 overflows the residual norm of the estimate flow, 1e-308 the
+    # logged theta error at step 0; inf is rejected where it enters.
+    cfg_path = tmp_path / "extreme.cfg"
+    cfg_path.write_text(line + "\n")
+    rc = run_cli(["simulate", str(cfg_path), str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_verify_short_run_names_the_cutoff(tmp_path, capsys):
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text("sim.t_end = 0.3\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "0.5 s cutoff" in err
+
+
+_NEAR_MISS_KEYS = [
+    "plant.mass", "sim.poles", "estimator.forgetting", "trajectory.phi", "trajectory.order"
+]
+_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.lists(st.floats().map(repr), min_size=1, max_size=7).map(", ".join),
+    st.sampled_from(["", "inf", "-inf", "nan", "1e308", "1e-308", "true", "hilbert", "ellipse"]),
+    st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(sorted(_KEYS) + _NEAR_MISS_KEYS), _VALUES).map(" = ".join),
+    st.text(max_size=20),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.lists(_LINES, max_size=6))
+def test_parse_config_returns_a_config_or_a_library_error(lines):
+    try:
+        cfg = parse_config("\n".join(lines))
+    except BicopterError:
+        return
+    assert isinstance(cfg, SimConfig)
+
+
+def _readme_defaults():
+    """Keys of the README config table, and (key, literal default, kind) per literal."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    keys, defaults = set(), []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key_cell, default_cell = line.split(" | ")[:2]
+        row_keys = re.findall(r"`([^`]+)`", key_cell)
+        literals = re.findall(r"`([^`]+)`(?: \((\w+)\))?", default_cell)
+        keys.update(row_keys)
+        if len(literals) == len(row_keys):
+            defaults += [(k, v, kind) for k, (v, kind) in zip(row_keys, literals)]
+        else:  # one key whose default depends on the trajectory kind
+            defaults += [(row_keys[0], v, kind) for v, kind in literals]
+    return keys, defaults
+
+
+def test_readme_table_documents_every_key():
+    assert _readme_defaults()[0] == set(_KEYS)
+
+
+def test_readme_defaults_are_the_library_defaults():
+    defaults = _readme_defaults()[1]
+    assert len(defaults) >= len(_KEYS) - 1  # every key but sim.x0 has a literal
+    for key, value, kind in defaults:
+        if not kind:
+            kind = "hilbert" if _KEYS[key][0] is HilbertSpec else "ellipse"
+        prefix = f"trajectory.kind = {kind}\n"
+        assert parse_config(f"{prefix}{key} = {value}") == parse_config(prefix), key

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bicopterlab.errors import SingularThrust
+from bicopterlab.errors import IllConditioned, SingularThrust
 from bicopterlab.linearizer import (
     U_MIN,
     ParamEstimate,
@@ -222,3 +222,11 @@ def test_relative_degree_k3_tracks_thrust():
         want = chi7 / (p.m**2 * p.J)
         assert dets[-1] == pytest.approx(want, rel=1e-3)
     assert dets[0] < dets[1]
+
+
+def test_diverging_drift_flow_is_ill_conditioned():
+    # m = 1e-308 sends the drift acceleration to inf in the first RK4 stage
+    # of the first flow the stencil runs, the backward one to t = -3h.
+    chi = [0.3, -0.2, 0.4, 0.1, 0.2, 0.3, 9.0, 0.5]
+    with pytest.raises(IllConditioned, match="drift flow diverged"):
+        lie_relative_degree_check(chi, PlantParams(m=1e-308))

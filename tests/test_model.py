@@ -11,7 +11,8 @@ P = PlantParams()
 
 
 def test_params_validation():
-    for bad in (dict(m=-1.0), dict(J=0.0), dict(ell=-0.5), dict(g=0.0)):
+    inf = float("inf")
+    for bad in (dict(m=-1.0), dict(J=0.0), dict(ell=-0.5), dict(g=0.0), dict(m=inf), dict(J=inf)):
         with pytest.raises(ValidationError):
             PlantParams(**bad)
 

@@ -38,6 +38,8 @@ def test_config_validation():
         SimConfig(log_every=0)
     with pytest.raises(ValidationError):
         SimConfig(theta0=(2.0, -1.0))
+    with pytest.raises(ValidationError):
+        SimConfig(poles=(-1.0, -2.0, -3.0))
 
 
 def test_rk4_constant():
@@ -51,6 +53,12 @@ def test_rk4_stability_polynomial():
     # e^{-h} exactly: 1 - h + h^2/2 - h^3/6 + h^4/24 at h = 0.1.
     out = rk4_step([1.0], 0.0, 0.1, lambda s, t: [-s[0]])
     assert out[0] == pytest.approx(0.9048375, abs=1e-12)
+
+
+def test_rk4_negative_step_runs_backwards():
+    # The drift flows of the relative-degree stencil integrate to t < 0.
+    out = rk4_step([1.0], 0.0, -0.1, lambda s, t: [-s[0]])
+    assert out[0] == pytest.approx(1.0 + 0.1 + 0.1**2 / 2 + 0.1**3 / 6 + 0.1**4 / 24, abs=1e-12)
 
 
 def test_rk4_fourth_order_convergence():

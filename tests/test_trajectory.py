@@ -35,6 +35,8 @@ def test_spec_validation():
         HilbertSpec(size=0.0)
     with pytest.raises(ValidationError):
         HilbertSpec(seg_time=-1.0)
+    with pytest.raises(ValidationError):
+        HilbertSpec(origin=(0.0, 0.0, 0.0))
 
 
 def test_ellipse_starts_at_origin():
