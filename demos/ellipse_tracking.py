@@ -18,7 +18,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 def run(label: str, cfg: SimConfig) -> None:
     ts = simulate(cfg)
-    met = summarize(ts, cfg)
+    met = summarize(ts)
     out = os.path.join(HERE, f"ellipse_{label}.csv")
     ts.to_csv(out)
 

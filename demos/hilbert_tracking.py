@@ -36,7 +36,7 @@ def main() -> None:
         print(f"  {k:2d}      ({wx:4.1f}, {wy:4.1f})      {err:.4f}")
 
     print()
-    for line in summarize(ts, cfg).lines():
+    for line in summarize(ts).lines():
         print(line)
     print(f"\ntelemetry: {out}")
     print("\nWaypoint 1 carries the startup transient: the controller begins")

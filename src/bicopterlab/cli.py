@@ -134,7 +134,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     ts = simulate(cfg)
     ts.to_csv(args.out)
-    for line in summarize(ts, cfg).lines():
+    for line in summarize(ts).lines():
         print(line)
     return 0
 

@@ -5,17 +5,19 @@ The position output has relative degree 4 per axis, so the feedback
     w = -beta(chi)^-1 (alpha(chi) - v)
 
 turns the extended dynamics into two decoupled 4-integrator chains in the
-coordinates xi computed by `xi_of_chi`. alpha and beta are hard-coded
-closed forms; `lie_relative_degree_check` re-derives them numerically from
-flows of the drift field and is the independent oracle used by the
-`verify` CLI subcommand.
+coordinates xi computed by `xi_of_chi`. The laws take the mass m and the
+inertia J as plain numbers: the controller passes its estimates, the
+oracles the true plant constants. alpha and beta are hard-coded closed
+forms; `lie_relative_degree_check` re-derives them numerically from flows
+of the drift field and is the independent oracle used by the `verify` CLI
+subcommand.
 
 The input map beta is singular at chi7 = 0 (zero net thrust), hence the
 U_MIN guard on every inversion.
 """
 
 from dataclasses import dataclass
-from math import cos, isfinite, sin
+from math import cos, inf, isfinite, sin
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .model import PlantParams, extended_deriv, rk4_step
 
 __all__ = [
     "U_MIN",
-    "ParamEstimate",
     "alpha",
     "beta",
     "beta_inv",
@@ -40,24 +41,8 @@ __all__ = [
 U_MIN = 0.1
 
 
-@dataclass(frozen=True)
-class ParamEstimate:
-    """Estimated inverse mass and inverse inertia, theta = (1/m_hat, 1/J_hat)."""
-
-    theta: tuple
-
-    @property
-    def m_hat(self) -> float:
-        return 1.0 / self.theta[0]
-
-    @property
-    def j_hat(self) -> float:
-        return 1.0 / self.theta[1]
-
-
-def alpha(chi, est: ParamEstimate) -> tuple:
+def alpha(chi, m: float) -> tuple:
     """Drift part of the 4th output derivatives, (L_F^4 H1, L_F^4 H2)."""
-    m = est.m_hat
     s3, c3 = sin(chi[2]), cos(chi[2])
     x6, x7, x8 = chi[5], chi[6], chi[7]
     return (
@@ -66,9 +51,8 @@ def alpha(chi, est: ParamEstimate) -> tuple:
     )
 
 
-def beta(chi, est: ParamEstimate) -> np.ndarray:
+def beta(chi, m: float, j: float) -> np.ndarray:
     """Input map multiplying w in the 4th output derivatives."""
-    m, j = est.m_hat, est.j_hat
     s3, c3 = sin(chi[2]), cos(chi[2])
     x7 = chi[6]
     return np.array(
@@ -87,10 +71,9 @@ def _guarded_thrust(chi) -> float:
     return x7
 
 
-def beta_inv(chi, est: ParamEstimate) -> np.ndarray:
+def beta_inv(chi, m: float, j: float) -> np.ndarray:
     """Closed-form inverse of `beta`; valid only away from zero thrust."""
     x7 = _guarded_thrust(chi)
-    m, j = est.m_hat, est.j_hat
     s3, c3 = sin(chi[2]), cos(chi[2])
     return np.array(
         [
@@ -100,12 +83,11 @@ def beta_inv(chi, est: ParamEstimate) -> np.ndarray:
     )
 
 
-def iol_w(chi, v, est: ParamEstimate) -> tuple:
+def iol_w(chi, v, m: float, j: float) -> tuple:
     """Linearizing feedback w = -beta^-1 (alpha - v), returned as (w1, w2)."""
     x7 = _guarded_thrust(chi)
-    m, j = est.m_hat, est.j_hat
     s3, c3 = sin(chi[2]), cos(chi[2])
-    a1, a2 = alpha(chi, est)
+    a1, a2 = alpha(chi, m)
     r1, r2 = v[0] - a1, v[1] - a2
     # Rows of beta_inv applied to (v - alpha), inlined for the hot loop.
     return (
@@ -114,13 +96,12 @@ def iol_w(chi, v, est: ParamEstimate) -> tuple:
     )
 
 
-def xi_of_chi(chi, est: ParamEstimate, g: float) -> tuple:
+def xi_of_chi(chi, m: float, g: float) -> tuple:
     """Integrator-chain coordinates (pos, vel, acc, jerk) per output axis.
 
     Gravity g is treated as exactly known; only mass and inertia are
     estimated.
     """
-    m = est.m_hat
     s3, c3 = sin(chi[2]), cos(chi[2])
     x6, x7, x8 = chi[5], chi[6], chi[7]
     return (
@@ -220,30 +201,36 @@ def lie_relative_degree_check(chi, p: PlantParams) -> RelativeDegreeReport:
     step on chi8 for w1 and a step on chi6 scaled by 1/J for w2. alpha and
     the order-3 derivatives are linear in chi6 and chi8, so the
     perturbation can be large, which keeps the divided stencil noise far
-    below the tolerance.
+    below the tolerance. Raises SingularThrust below U_MIN, like the
+    inversions, and IllConditioned when the probe leaves the float range.
     """
-    if abs(chi[6]) <= U_MIN:
-        raise SingularThrust(f"|chi7| = {abs(chi[6]):g} <= u_min = {U_MIN:g}")
+    _guarded_thrust(chi)
 
     # (state index perturbed, output scale of that input column)
     columns = ((7, 1.0), (5, 1.0 / p.J))
     num = np.empty((4, 2, 2))  # order k, output i, input column c
     scale = np.ones(4)
-    for c, (idx, col_scale) in enumerate(columns):
-        chi_p = list(chi)
-        chi_m = list(chi)
-        chi_p[idx] += _PERTURB
-        chi_m[idx] -= _PERTURB
-        d_p = _output_time_derivs(chi_p, p, _STENCIL_H)
-        d_m = _output_time_derivs(chi_m, p, _STENCIL_H)
-        num[:, :, c] = (d_p - d_m) / (2.0 * _PERTURB) * col_scale
-        scale = np.maximum(scale, np.abs(d_p).max(axis=1))
-        scale = np.maximum(scale, np.abs(d_m).max(axis=1))
+    # Extreme plants overflow here; the check below turns that into one error.
+    with np.errstate(all="ignore"):
+        for c, (idx, col_scale) in enumerate(columns):
+            chi_p = list(chi)
+            chi_m = list(chi)
+            chi_p[idx] += _PERTURB
+            chi_m[idx] -= _PERTURB
+            d_p = _output_time_derivs(chi_p, p, _STENCIL_H)
+            d_m = _output_time_derivs(chi_m, p, _STENCIL_H)
+            num[:, :, c] = (d_p - d_m) / (2.0 * _PERTURB) * col_scale
+            scale = np.maximum(scale, np.abs(d_p).max(axis=1))
+            scale = np.maximum(scale, np.abs(d_m).max(axis=1))
 
-    lower = {k: float(np.abs(num[k]).max() / scale[k]) for k in range(3)}
-    k3 = num[3]
-    est_true = ParamEstimate((1.0 / p.m, 1.0 / p.J))
-    b = beta(chi, est_true)
-    rel = float(np.linalg.norm(k3 - b) / np.linalg.norm(b))
+        lower = {k: float(np.abs(num[k]).max() / scale[k]) for k in range(3)}
+        k3 = num[3]
+        b = beta(chi, p.m, p.J)
+        b_norm = np.linalg.norm(b)
+        rel = float(np.linalg.norm(k3 - b) / b_norm)
+    # verify's max() would pass over a NaN, so an overflowed probe ends here.
+    finite = np.isfinite(num).all() and np.isfinite(scale).all() and isfinite(rel)
+    if not (finite and 0.0 < b_norm < inf):
+        raise IllConditioned("relative-degree probe left the float range: k3, beta or |beta|")
     passed = all(lower[k] < 1e-6 for k in range(3)) and rel < 1e-4
     return RelativeDegreeReport(lower, k3, b, rel, passed)

@@ -42,7 +42,7 @@ from .estimator import (
     filter_outputs,
     params_from_theta,
 )
-from .linearizer import ParamEstimate, iol_w, xi_of_chi
+from .linearizer import iol_w, xi_of_chi
 from .model import PlantParams, extended_deriv, rk4_step
 from .tracker import GainSet, place_gains, tracking_v
 from .trajectory import EllipseSpec, HilbertSpec, ellipse_ref, hilbert_ref
@@ -140,11 +140,10 @@ def _gains_for(poles: tuple) -> GainSet:
 def _control(chi, theta, t: float, cfg: SimConfig) -> tuple:
     """Controller outputs (xi, des, v, w) at one instant."""
     m_hat, j_hat = params_from_theta(theta, cfg.est.theta_floor)
-    est = ParamEstimate((1.0 / m_hat, 1.0 / j_hat))
-    xi = xi_of_chi(chi, est, cfg.plant.g)
+    xi = xi_of_chi(chi, m_hat, cfg.plant.g)
     des = cfg.reference(t)
     v = tracking_v(xi, des, _gains_for(cfg.poles))
-    return xi, des, v, iol_w(chi, v, est)
+    return xi, des, v, iol_w(chi, v, m_hat, j_hat)
 
 
 def _deriv_flat(y, t: float, cfg: SimConfig) -> list:
@@ -189,17 +188,16 @@ COLUMNS = (
 class TimeSeries:
     """Logged per-step records of one simulation run, one tuple per row."""
 
-    columns: tuple = COLUMNS
     rows: list = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
+        idx = COLUMNS.index(name)
         return np.array([r[idx] for r in self.rows])
 
     def to_csv(self, path) -> None:
-        fmt = ",".join(["%.17g"] * len(self.columns)) + "\n"
+        fmt = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
         with open(path, "w") as f:
-            f.write(",".join(self.columns) + "\n")
+            f.write(",".join(COLUMNS) + "\n")
             f.writelines(fmt % row for row in self.rows)
 
     @classmethod
@@ -248,6 +246,11 @@ def _record(y, t: float, cfg: SimConfig) -> tuple:
     )
 
 
+# Errors that end a run. Float overflow raises ArithmeticError, and math's
+# sin and cos raise ValueError on the infinite angle of a diverged RK4 stage.
+_ABORTS = (SingularThrust, NonFiniteState, ArithmeticError, ValueError)
+
+
 def simulate(cfg: SimConfig) -> TimeSeries:
     """Integrate the closed loop from 0 to t_end with fixed step dt."""
     y = cfg.initial_state()
@@ -260,7 +263,7 @@ def simulate(cfg: SimConfig) -> TimeSeries:
 
     try:
         ts.rows.append(_record(y, 0.0, cfg))
-    except (SingularThrust, NonFiniteState, ArithmeticError) as exc:
+    except _ABORTS as exc:
         raise _aborted(exc, 0, 0.0) from exc
     for i in range(n_steps):
         t = i * dt
@@ -268,14 +271,14 @@ def simulate(cfg: SimConfig) -> TimeSeries:
             y = rk4_step(y, t, dt, deriv)
             if (i + 1) % cfg.log_every == 0 or i + 1 == n_steps:
                 ts.rows.append(_record(y, (i + 1) * dt, cfg))
-        except (SingularThrust, NonFiniteState, ArithmeticError) as exc:
+        except _ABORTS as exc:
             raise _aborted(exc, i, t) from exc
     return ts
 
 
 def _aborted(exc: Exception, i: int, t: float) -> Exception:
-    """The error that ends a run at step i; float overflow ends as NonFiniteState."""
-    if isinstance(exc, ArithmeticError):
+    """The error that ends a run at step i; arithmetic faults end as NonFiniteState."""
+    if isinstance(exc, (ArithmeticError, ValueError)):
         exc = NonFiniteState(f"{type(exc).__name__}: {exc}")
     return type(exc)(f"aborted at step {i} (t = {t:g} s): {exc}")
 
@@ -311,7 +314,7 @@ def _first_sustained(t: np.ndarray, values: np.ndarray, tol: float) -> float:
     return float(t[idx]) if idx < len(t) else _NOT_REACHED
 
 
-def summarize(ts: TimeSeries, cfg: SimConfig | None = None) -> Metrics:
+def summarize(ts: TimeSeries) -> Metrics:
     """Compute the summary metrics of a logged run."""
     if not ts.rows:
         raise EmptySeries("cannot summarize an empty time series")

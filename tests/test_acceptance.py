@@ -3,7 +3,8 @@ line) each.
 
 Each test prints a single `criterion N (<name>): PASS/FAIL` line with the
 measured numbers, then asserts. Expensive simulations are shared through
-module-scoped fixtures.
+fixtures: the canonical adaptive runs come from conftest.py, the rest are
+module-scoped here.
 """
 
 import time
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from bicopterlab.estimator import EstimatorConfig, filter_outputs
-from bicopterlab.linearizer import ParamEstimate, beta, beta_inv, lie_relative_degree_check
+from bicopterlab.linearizer import beta, beta_inv, lie_relative_degree_check
 from bicopterlab.model import PlantParams
 from bicopterlab.sim import (
     _CHI,
@@ -44,16 +45,6 @@ def ellipse_known():
     t0 = time.perf_counter()
     ts = simulate(KNOWN_CFG)
     return ts, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def ellipse_adaptive():
-    return simulate(ADAPTIVE_CFG)
-
-
-@pytest.fixture(scope="module")
-def hilbert_adaptive():
-    return simulate(SimConfig(traj=HilbertSpec(), t_end=30.0))
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +118,7 @@ def test_criterion_04_tracking_performance(ellipse_known):
     t = ts.column("t")
     pos_err = np.hypot(ts.column("pos_err1"), ts.column("pos_err2"))
     worst_late = float(pos_err[t > 2.0].max())
-    met = summarize(ts, KNOWN_CFG)
+    met = summarize(ts)
     ok = worst_late < 0.05 and met.pos_rmse < 1e-2 and runtime < 5.0
     _verdict(
         4,
@@ -139,7 +130,7 @@ def test_criterion_04_tracking_performance(ellipse_known):
 
 
 def test_criterion_05_finite_time_estimation(ellipse_adaptive):
-    met = summarize(ellipse_adaptive, ADAPTIVE_CFG)
+    met = summarize(ellipse_adaptive)
     primary = met.theta_converge_time <= 1.0
     if primary:
         _verdict(5, "finite-time estimation", True,
@@ -223,10 +214,10 @@ def test_criterion_08_matrix_identities(adaptive_internals):
     for _ in range(1000):
         chi = list(rng.normal(size=8))
         chi[6] = rng.uniform(0.2, 20.0) * rng.choice((-1.0, 1.0))
-        est = ParamEstimate((rng.uniform(0.5, 3.0), rng.uniform(5.0, 40.0)))
-        b = np.asarray(beta(tuple(chi), est))
-        worst_inv = max(worst_inv, float(np.abs(b @ np.asarray(beta_inv(tuple(chi), est)) - eye).max()))
-        det_want = chi[6] / (est.m_hat**2 * est.j_hat)
+        m, j = 1.0 / rng.uniform(0.5, 3.0), 1.0 / rng.uniform(5.0, 40.0)
+        b = np.asarray(beta(tuple(chi), m, j))
+        worst_inv = max(worst_inv, float(np.abs(b @ np.asarray(beta_inv(tuple(chi), m, j)) - eye).max()))
+        det_want = chi[6] / (m**2 * j)
         worst_det = max(worst_det, abs(np.linalg.det(b) - det_want) / abs(det_want))
     A, _ = brunovsky_matrices()
     nilpotent = bool(np.all(np.linalg.matrix_power(A, 4) == 0.0))

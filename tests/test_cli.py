@@ -214,11 +214,19 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, line):
 
 @pytest.mark.parametrize(
     "line",
-    ["plant.m = 1e308", "plant.m = inf", "plant.j = inf", "plant.j = 1e308", "plant.m = 1e-308"],
+    [
+        "plant.m = 1e308",
+        "plant.m = inf",
+        "plant.j = inf",
+        "plant.j = 1e308",
+        "plant.m = 1e-308",
+        "sim.x0 = 1e308, 0, 0, 0, 0, 0",
+    ],
 )
 def test_float_overflow_ends_as_one_line_error(tmp_path, capsys, line):
     # 1e308 overflows the residual norm of the estimate flow, 1e-308 the
-    # logged theta error at step 0; inf is rejected where it enters.
+    # logged theta error at step 0; inf is rejected where it enters. The
+    # x0 of 1e308 drives an RK4 stage's angle to inf, where sin fails.
     cfg_path = tmp_path / "extreme.cfg"
     cfg_path.write_text(line + "\n")
     rc = run_cli(["simulate", str(cfg_path), str(tmp_path / "out.csv")])
@@ -226,6 +234,20 @@ def test_float_overflow_ends_as_one_line_error(tmp_path, capsys, line):
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("line", ["plant.m = 1e-308", "plant.m = 1e308", "plant.j = 1e-300"])
+def test_verify_extreme_plant_ends_as_one_line_error(tmp_path, capsys, line):
+    # The relative-degree oracle overflows or loses its scale on these
+    # plants: one error, no verdict over a NaN and no numpy warning.
+    cfg_path = tmp_path / "extreme.cfg"
+    cfg_path.write_text(line + "\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "relative_degree_pass" not in captured.out
 
 
 def test_verify_short_run_names_the_cutoff(tmp_path, capsys):
