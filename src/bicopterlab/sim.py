@@ -1,28 +1,30 @@
 """Closed-loop simulation: plant, controller, and estimator in one ODE.
 
 All continuous-time laws (extended plant, regressor filters, data
-accumulators, estimate flow) are stacked into a single 21-state vector and
-integrated synchronously with a fixed-step classical Runge-Kutta scheme;
-there is no sample-and-hold. Runs are bitwise deterministic for a fixed
-config.
+accumulators, estimate flow) are stacked into a single flat state vector
+and integrated synchronously with a fixed-step classical Runge-Kutta
+scheme; there is no sample-and-hold. Runs are bitwise deterministic for a
+fixed config.
 
-Composite state layout (flat, 21 floats):
+Composite state layout (flat, N_STATE = 21 floats):
 
     0..7    chi        (plant + thrust chain)
-    8..10   z1[3:6]    (filter on x)
-    11      z2[4]      (filter on Psi)
-    12..14  zphi       (filter on Phi[3][0], Phi[4][0], Phi[5][1])
-    15..16  xbar       (one entry per estimator channel)
-    17..18  phibar     (diagonal; the off-diagonal is identically zero)
-    19..20  theta_hat
+    8..9    theta_hat
+    10..12  z1[3:6]    (filter on x)
+    13      z2[4]      (filter on Psi)
+    14..16  zphi       (filter on Phi[3][0], Phi[4][0], Phi[5][1])
+    17..18  xbar       (one entry per estimator channel)
+    19..20  phibar     (diagonal; the off-diagonal is identically zero)
 
-Filter states that are identically zero, or that only ever meet a zero
-row of Phi, are not integrated; see the estimator module for why the two
-parameter channels decouple.
+A run without adaptation integrates only the N_KNOWN = 10 float prefix,
+chi and theta_hat: nothing it logs or feeds back reads the estimator
+states, and theta_hat stays exactly theta0. Filter states that are
+identically zero, or that only ever meet a zero row of Phi, are never
+integrated; see the estimator module for why the two parameter channels
+decouple.
 """
 
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from math import isfinite
 
 import numpy as np
@@ -44,8 +46,8 @@ from .estimator import (
 )
 from .linearizer import iol_w, xi_of_chi
 from .model import PlantParams, extended_deriv, rk4_step
-from .tracker import GainSet, place_gains, tracking_v
-from .trajectory import EllipseSpec, HilbertSpec, ellipse_ref, hilbert_ref
+from .tracker import place_gains, tracking_v
+from .trajectory import EllipseSpec, ellipse_ref, hilbert_ref
 
 __all__ = [
     "SimConfig",
@@ -57,11 +59,17 @@ __all__ = [
 ]
 
 N_STATE = 21
+N_KNOWN = 10
 _CHI = slice(0, 8)
-_FILTERS = slice(8, 15)
-_XBAR = slice(15, 17)
-_PHIBAR = slice(17, 19)
-_THETA = slice(19, 21)
+_THETA = slice(8, 10)
+_FILTERS = slice(10, 17)
+_XBAR = slice(17, 19)
+_PHIBAR = slice(19, 21)
+
+# Most RK4 steps (t_end / dt) one run may take: under a minute at the 20-40k
+# steps/s of a 2-core host and, at log_every = 1, a million logged rows
+# (about 1 GB). The canonical runs take at most 30,000.
+MAX_STEPS = 1_000_000
 
 # Settling thresholds used by the summary metrics.
 SETTLE_POS_TOL = 0.05  # m
@@ -93,6 +101,8 @@ class SimConfig:
             raise ValidationError("SimConfig.t_end must be finite")
         if not self.t_end >= self.dt:
             raise ValidationError("SimConfig.t_end must be >= dt")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ValidationError(f"SimConfig.t_end / dt must be at most {MAX_STEPS} steps")
         if not self.log_every >= 1:
             raise ValidationError("SimConfig.log_every must be >= 1")
         if len(self.theta0) != 2 or self.theta0[0] <= 0.0 or self.theta0[1] <= 0.0:
@@ -109,17 +119,13 @@ class SimConfig:
     def theta_true(self) -> tuple:
         return (1.0 / self.plant.m, 1.0 / self.plant.J)
 
-    def reference(self, t: float):
-        if isinstance(self.traj, EllipseSpec):
-            return ellipse_ref(t, self.traj)
-        return hilbert_ref(t, self.traj)
-
     def initial_state(self) -> list:
         """Flat composite state at t = 0.
 
         The vehicle starts at the trajectory start point, at rest and
         level, with hover thrust computed from the initial mass estimate;
-        all estimator states are zero.
+        all estimator states are zero. Without adaptation only the
+        N_KNOWN prefix is integrated.
         """
         if self.x0 is not None:
             x = tuple(self.x0)
@@ -127,47 +133,8 @@ class SimConfig:
             sx, sy = self.traj.start()
             x = (sx, sy, 0.0, 0.0, 0.0, 0.0)
         chi7 = self.plant.g / self.theta0[0]
-        y = list(x) + [chi7, 0.0] + [0.0] * (N_STATE - 10)
-        y[_THETA] = self.theta0
-        return y
-
-
-@lru_cache(maxsize=16)
-def _gains_for(poles: tuple) -> GainSet:
-    return place_gains(poles)
-
-
-def _control(chi, theta, t: float, cfg: SimConfig) -> tuple:
-    """Controller outputs (xi, des, v, w) at one instant."""
-    m_hat, j_hat = params_from_theta(theta, cfg.est.theta_floor)
-    xi = xi_of_chi(chi, m_hat, cfg.plant.g)
-    des = cfg.reference(t)
-    v = tracking_v(xi, des, _gains_for(cfg.poles))
-    return xi, des, v, iol_w(chi, v, m_hat, j_hat)
-
-
-def _deriv_flat(y, t: float, cfg: SimConfig) -> list:
-    """Time derivative of the flat composite state."""
-    p = cfg.plant
-    ecfg = cfg.est
-    chi = y[_CHI]
-    theta = y[_THETA]
-    w = _control(chi, theta, t, cfg)[3]
-    dchi = extended_deriv(chi, w, p)
-
-    x = chi[0:6]
-    u = (chi[6], w[1])
-    z = y[_FILTERS]
-    xbar = y[_XBAR]
-    phibar = y[_PHIBAR]
-    dz = filter_deriv(z, x, u, p.g, ecfg.gamma)
-    x_f, phi_f = filter_outputs(z, x, ecfg.gamma)
-    dxbar, dphibar = data_matrix_deriv(xbar, phibar, x_f, phi_f, ecfg.forgetting)
-    if cfg.adaptive:
-        dtheta = estimate_deriv(theta, xbar, phibar, ecfg)
-    else:
-        dtheta = (0.0, 0.0)
-    return [*dchi, *dz, *dxbar, *dphibar, *dtheta]
+        y = [*x, chi7, 0.0, *self.theta0]
+        return y + [0.0] * (N_STATE - N_KNOWN) if self.adaptive else y
 
 
 COLUMNS = (
@@ -225,25 +192,56 @@ class TimeSeries:
         return cls(rows=rows)
 
 
-def _record(y, t: float, cfg: SimConfig) -> tuple:
-    """Logged row at one instant; recomputes the controller outputs."""
-    chi = y[_CHI]
-    theta = y[_THETA]
-    xi, des, v, w = _control(chi, theta, t, cfg)
-    tt = cfg.theta_true
-    theta_err = ((theta[0] - tt[0]) ** 2 + (theta[1] - tt[1]) ** 2) ** 0.5
-    return (
-        (t,)
-        + tuple(chi[0:6])
-        + (chi[6], w[1])
-        + tuple(w)
-        + tuple(xi)
-        + tuple(des.xi_d)
-        + tuple(v)
-        + tuple(theta)
-        + (theta_err,)
-        + (chi[0] - des.xi_d[0], chi[1] - des.xi_d[4])
-    )
+def _closed_loop(cfg: SimConfig) -> tuple:
+    """The run's (derivative, logged row) functions, its constants bound once.
+
+    Both evaluate the same control law. Without adaptation the derivative
+    covers only the N_KNOWN prefix, and theta_hat's rate is exactly zero.
+    """
+    p = cfg.plant
+    g = p.g
+    est = cfg.est
+    gamma, forgetting, floor = est.gamma, est.forgetting, est.theta_floor
+    gains = place_gains(cfg.poles)
+    traj = cfg.traj
+    ellipse = isinstance(traj, EllipseSpec)
+    adaptive = cfg.adaptive
+    m_inv, j_inv = cfg.theta_true
+
+    def control(chi, theta, t):
+        m_hat, j_hat = params_from_theta(theta, floor)
+        xi = xi_of_chi(chi, m_hat, g)
+        des = ellipse_ref(t, traj) if ellipse else hilbert_ref(t, traj)
+        v = tracking_v(xi, des, gains)
+        return xi, des, v, iol_w(chi, v, m_hat, j_hat)
+
+    def deriv(y, t: float) -> list:
+        chi = y[_CHI]
+        theta = y[_THETA]
+        w = control(chi, theta, t)[3]
+        dchi = extended_deriv(chi, w, p)
+        if not adaptive:
+            return [*dchi, 0.0, 0.0]
+        x = chi[0:6]
+        z = y[_FILTERS]
+        xbar = y[_XBAR]
+        phibar = y[_PHIBAR]
+        dz = filter_deriv(z, x, (chi[6], w[1]), g, gamma)
+        x_f, phi_f = filter_outputs(z, x, gamma)
+        dxbar, dphibar = data_matrix_deriv(xbar, phibar, x_f, phi_f, forgetting)
+        dtheta = estimate_deriv(theta, xbar, phibar, est)
+        return [*dchi, *dtheta, *dz, *dxbar, *dphibar]
+
+    def record(y, t: float) -> tuple:
+        chi = y[_CHI]
+        theta = y[_THETA]
+        xi, des, v, w = control(chi, theta, t)
+        theta_err = ((theta[0] - m_inv) ** 2 + (theta[1] - j_inv) ** 2) ** 0.5
+        xd = des.xi_d
+        return (t, *chi[0:6], chi[6], w[1], *w, *xi, *xd, *v, *theta, theta_err,
+                chi[0] - xd[0], chi[1] - xd[4])
+
+    return deriv, record
 
 
 # Errors that end a run. Float overflow raises ArithmeticError, and math's
@@ -253,16 +251,13 @@ _ABORTS = (SingularThrust, NonFiniteState, ArithmeticError, ValueError)
 
 def simulate(cfg: SimConfig) -> TimeSeries:
     """Integrate the closed loop from 0 to t_end with fixed step dt."""
+    deriv, record = _closed_loop(cfg)
     y = cfg.initial_state()
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
     ts = TimeSeries()
-
-    def deriv(state, t):
-        return _deriv_flat(state, t, cfg)
-
     try:
-        ts.rows.append(_record(y, 0.0, cfg))
+        ts.rows.append(record(y, 0.0))
     except _ABORTS as exc:
         raise _aborted(exc, 0, 0.0) from exc
     for i in range(n_steps):
@@ -270,7 +265,7 @@ def simulate(cfg: SimConfig) -> TimeSeries:
         try:
             y = rk4_step(y, t, dt, deriv)
             if (i + 1) % cfg.log_every == 0 or i + 1 == n_steps:
-                ts.rows.append(_record(y, (i + 1) * dt, cfg))
+                ts.rows.append(record(y, (i + 1) * dt))
         except _ABORTS as exc:
             raise _aborted(exc, i, t) from exc
     return ts

@@ -15,7 +15,7 @@ from math import ceil
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import IllConditioned, ValidationError
 from .linearizer import beta, beta_inv, lie_relative_degree_check
 from .sim import SimConfig, simulate
 
@@ -57,9 +57,13 @@ def _check_beta_inverse(cfg: SimConfig, emit) -> bool:
     m, j = cfg.plant.m, cfg.plant.J
     worst = 0.0
     eye = np.eye(2)
-    for _ in range(BETA_INVERSE_STATES):
-        chi = _random_chi(rng, 0.11, 20.0)
-        worst = max(worst, np.abs(beta(chi, m, j) @ beta_inv(chi, m, j) - eye).max())
+    with np.errstate(all="ignore"):  # a product off the float range raises below
+        for _ in range(BETA_INVERSE_STATES):
+            chi = _random_chi(rng, 0.11, 20.0)
+            err = np.abs(beta(chi, m, j) @ beta_inv(chi, m, j) - eye).max()
+            if not np.isfinite(err):
+                raise IllConditioned("beta inverse check left the float range")
+            worst = max(worst, err)
     ok = worst < 1e-10
     emit(f"beta_inverse_max_err: {worst:.6e}")
     emit(f"beta_inverse_pass: {str(ok).lower()}")

@@ -21,7 +21,7 @@ from bicopterlab.sim import (
     _FILTERS,
     _PHIBAR,
     SimConfig,
-    _deriv_flat,
+    _closed_loop,
     rk4_step,
     simulate,
     summarize,
@@ -60,10 +60,11 @@ def adaptive_internals():
     y = cfg.initial_state()
     dt = cfg.dt
     theta = cfg.theta_true
+    deriv = _closed_loop(cfg)[0]
     worst_resid = 0.0
     min_eig = np.inf
     for i in range(int(round(cfg.t_end / dt))):
-        y = rk4_step(y, i * dt, dt, lambda s, t: _deriv_flat(s, t, cfg))
+        y = rk4_step(y, i * dt, dt, deriv)
         if (i + 1) % cfg.log_every == 0:
             x_f, phi_f = filter_outputs(y[_FILTERS], y[_CHI][:6], cfg.est.gamma)
             # rows 3 and 4 carry 1/m, row 5 carries 1/J

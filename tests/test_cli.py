@@ -1,11 +1,13 @@
 """Config parsing and the command-line entry points."""
 
 import re
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bicopterlab.cli import _KEYS, parse_config, run_cli
@@ -221,12 +223,15 @@ def test_non_finite_config_values_rejected(tmp_path, capsys, line):
         "plant.j = 1e308",
         "plant.m = 1e-308",
         "sim.x0 = 1e308, 0, 0, 0, 0, 0",
+        "sim.dt = 5e-324",
     ],
 )
 def test_float_overflow_ends_as_one_line_error(tmp_path, capsys, line):
     # 1e308 overflows the residual norm of the estimate flow, 1e-308 the
     # logged theta error at step 0; inf is rejected where it enters. The
     # x0 of 1e308 drives an RK4 stage's angle to inf, where sin fails.
+    # 20 s over a 5e-324 s step is an infinite step count, which the step
+    # budget rejects before int() can overflow on it.
     cfg_path = tmp_path / "extreme.cfg"
     cfg_path.write_text(line + "\n")
     rc = run_cli(["simulate", str(cfg_path), str(tmp_path / "out.csv")])
@@ -248,6 +253,18 @@ def test_verify_extreme_plant_ends_as_one_line_error(tmp_path, capsys, line):
     assert rc == 1
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "relative_degree_pass" not in captured.out
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_beta_inverse_overflow_is_one_line_error(tmp_path, capsys):
+    # At J = 1e308 the relative-degree probe passes, but beta_inv overflows.
+    cfg_path = tmp_path / "extreme.cfg"
+    cfg_path.write_text("plant.j = 1e308\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: beta inverse check left the float range\n"
+    assert "beta_inverse_pass" not in captured.out
 
 
 def test_verify_short_run_names_the_cutoff(tmp_path, capsys):
@@ -317,3 +334,91 @@ def test_readme_defaults_are_the_library_defaults():
             kind = "hilbert" if _KEYS[key][0] is HilbertSpec else "ellipse"
         prefix = f"trajectory.kind = {kind}\n"
         assert parse_config(f"{prefix}{key} = {value}") == parse_config(prefix), key
+
+
+# --- whole invocations on hostile input ----------------------------------
+
+
+def _invoke(argv) -> tuple:
+    """(exit code, stdout, stderr) of one run_cli call; an escaping exception fails."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = run_cli(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_end(rc, err):
+    assert rc in (0, 1, 2)
+    assert err.count("\n") <= 1
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+@pytest.fixture(scope="module")
+def short_csv(workdir):
+    cfg = workdir / "short.cfg"
+    cfg.write_text("sim.t_end = 0.05\nsim.log_every = 1\n")
+    csv = workdir / "short.csv"
+    assert _invoke(["simulate", str(cfg), str(csv)])[0] == 0
+    return csv.read_bytes()
+
+
+# Horizons of at most 0.05 s over steps of at least 0.5 ms run <= 100 steps;
+# the tiny steps and huge horizons must be stopped by the step budget.
+_DT = st.one_of(
+    st.floats(5e-4, 1e-2), st.sampled_from(["1e-12", "1e-300", "5e-324", "inf", "0"])
+)
+_T_END = st.one_of(st.floats(0.0, 0.05), st.sampled_from(["1e300", "1e20", "-1"]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.lists(_LINES, max_size=3), _DT, _T_END)
+def test_simulate_and_report_end_cleanly(workdir, lines, dt, t_end):
+    cfg = workdir / "gen.cfg"
+    cfg.write_text("\n".join(lines + [f"sim.dt = {dt}", f"sim.t_end = {t_end}"]) + "\n")
+    csv = workdir / "gen.csv"
+    csv.unlink(missing_ok=True)
+    rc, out, err = _invoke(["simulate", str(cfg), str(csv)])
+    _assert_clean_end(rc, err)
+    if rc != 0:
+        assert err.startswith("error: ") and not csv.exists()
+        return
+    assert _invoke(["report", str(csv)]) == (0, out, "")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_report_on_corrupt_csv_ends_cleanly(workdir, short_csv, data):
+    raw = bytearray(short_csv)
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(raw)))
+        cut = data.draw(st.integers(0, 40))
+        raw[at:at + cut] = data.draw(st.binary(max_size=12))
+    assume(bytes(raw) != short_csv)
+    csv = workdir / "corrupt.csv"
+    csv.write_bytes(bytes(raw))
+    rc, _, err = _invoke(["report", str(csv)])
+    _assert_clean_end(rc, err)
+    assert (rc == 0) == (err == "")
+
+
+_PLANT_VALUE = st.one_of(
+    st.floats(1e-3, 1e3), st.sampled_from([1e-308, 1e-300, 1e300, 1e308, -1.0, 0.0])
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(_PLANT_VALUE, _PLANT_VALUE, st.floats(0.1, 30.0))
+def test_verify_on_generated_plants_ends_cleanly(workdir, m, j, g):
+    cfg = workdir / "plant.cfg"
+    cfg.write_text(f"plant.m = {m!r}\nplant.j = {j!r}\nplant.g = {g!r}\nsim.t_end = 0.6\n")
+    rc, out, err = _invoke(["verify", str(cfg)])
+    _assert_clean_end(rc, err)
+    # exit 1 is either an error line or a failed oracle's verdict
+    assert rc == 0 or err.startswith("error: ") or "all_pass: false" in out

@@ -11,10 +11,13 @@ import pytest
 from bicopterlab.errors import EmptySeries, SingularThrust, ValidationError
 from bicopterlab.sim import (
     COLUMNS,
+    MAX_STEPS,
+    N_KNOWN,
+    N_STATE,
     Metrics,
     SimConfig,
     TimeSeries,
-    _deriv_flat,
+    _closed_loop,
     rk4_step,
     simulate,
     summarize,
@@ -40,6 +43,11 @@ def test_config_validation():
         SimConfig(theta0=(2.0, -1.0))
     with pytest.raises(ValidationError):
         SimConfig(poles=(-1.0, -2.0, -3.0))
+    # step budget: huge horizons and tiny steps fail here, not by hanging
+    for kwargs in ({"t_end": 1e300}, {"dt": 1e-300}, {"dt": 5e-324}):
+        with pytest.raises(ValidationError, match=f"at most {MAX_STEPS} steps"):
+            SimConfig(**kwargs)
+    SimConfig(t_end=MAX_STEPS * 1e-3)  # the budget itself is admitted
 
 
 def test_rk4_constant():
@@ -75,15 +83,50 @@ def test_rk4_fourth_order_convergence():
 
 def test_closed_loop_deriv_equilibrium():
     # Hovering on the clamped endpoint of the Hilbert path with true
-    # parameters: the plant/controller states are stationary; only the
-    # estimator filters still move.
+    # parameters: the plant/controller states are stationary and the
+    # known-parameter run integrates no estimator state.
     cfg = SimConfig(traj=HilbertSpec(), t_end=40.0, adaptive=False, theta0=(1.0, 20.0),
                     x0=(3.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     y = cfg.initial_state()
     assert y[0:8] == [3.0, 0.0, 0.0, 0.0, 0.0, 0.0, cfg.plant.m * cfg.plant.g, 0.0]
-    d = _deriv_flat(y, 35.0, cfg)
-    assert len(y) == len(d) == 21
+    d = _closed_loop(cfg)[0](y, 35.0)
+    assert len(y) == len(d) == N_KNOWN
     assert np.asarray(d[0:8]) == pytest.approx(np.zeros(8), abs=1e-12)
+    assert d[8:] == [0.0, 0.0]
+
+
+def test_initial_state_length_follows_adaptation():
+    assert len(SimConfig().initial_state()) == N_STATE
+    known = SimConfig(adaptive=False).initial_state()
+    assert len(known) == N_KNOWN
+    assert known == SimConfig().initial_state()[:N_KNOWN]
+
+
+def test_known_kernel_is_the_adaptive_kernel_on_chi():
+    # The estimator states feed nothing back into chi: on random (chi,
+    # theta_hat) the known-parameter kernel gives chi's rate bit for bit.
+    rng = np.random.default_rng(11)
+    adaptive = SimConfig(traj=HilbertSpec(), t_end=30.0)
+    deriv_a = _closed_loop(adaptive)[0]
+    deriv_k = _closed_loop(replace(adaptive, adaptive=False))[0]
+    for _ in range(50):
+        chi = [*rng.uniform(-2.0, 2.0, size=6), rng.uniform(2.0, 20.0), rng.normal()]
+        theta = list(rng.uniform(0.5, 30.0, size=2))
+        rest = list(rng.normal(size=N_STATE - N_KNOWN))
+        t = float(rng.uniform(0.0, 30.0))
+        y = [float(v) for v in chi + theta]
+        want = deriv_a(y + [float(v) for v in rest], t)[0:8]
+        got = deriv_k(y, t)
+        assert [v.hex() for v in got[0:8]] == [v.hex() for v in want]
+        assert got[8:] == [0.0, 0.0]
+
+
+def test_known_run_keeps_theta0():
+    cfg = replace(KNOWN, theta0=(1.25, 17.5), t_end=1.0)
+    ts = simulate(cfg)
+    assert len(ts.rows) == 101
+    for name, want in zip(("theta_hat1", "theta_hat2"), cfg.theta0):
+        assert all(v == want for v in ts.column(name))
 
 
 @pytest.mark.parametrize("workload", ["ellipse_adaptive", "hilbert_adaptive", "ellipse_known_io"])
