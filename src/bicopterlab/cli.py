@@ -10,7 +10,7 @@ Subcommands:
 Configs are flat key-value documents, one `section.key = value` per line,
 with `#` comments; unknown keys are rejected. The key table is derived from
 the fields of the config dataclasses, and every default and every check is
-theirs, apart from the Hilbert run length HILBERT_T_END.
+theirs. A Hilbert run without `sim.t_end` lasts as long as its path.
 """
 
 import argparse
@@ -29,11 +29,6 @@ from .trajectory import EllipseSpec, HilbertSpec
 from .verify import run_verification
 
 __all__ = ["parse_config", "run_cli", "main"]
-
-# Default run length (s) of a Hilbert path. The default path takes 15 segments
-# of 2 s, so SimConfig's 20 s, sized for the ellipse, would stop it early.
-HILBERT_T_END = 30.0
-
 
 def _parse_bool(raw: str) -> bool:
     if raw.lower() in ("true", "yes", "on", "1"):
@@ -117,9 +112,9 @@ def parse_config(text: str) -> SimConfig:
     for key, value in values.items():
         cls, name, _ = _KEYS[key]
         kwargs[cls][name] = value
-    if kind == "hilbert":
-        kwargs[SimConfig].setdefault("t_end", HILBERT_T_END)
     plant, est, traj = (cls(**kwargs[cls]) for cls in owners[:3])
+    if kind == "hilbert":  # SimConfig's 20 s is sized for the ellipse
+        kwargs[SimConfig].setdefault("t_end", traj.duration)
     return SimConfig(plant=plant, est=est, traj=traj, **kwargs[SimConfig])
 
 
@@ -141,8 +136,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_gains(args) -> int:
     gains = place_gains(args.poles)
-    mags = gains.magnitudes
-    for i, mag in enumerate(mags, start=1):
+    for i, mag in enumerate(gains.magnitudes, start=1):
         print(f"K{i}: {mag:.17g}")
     A, B = brunovsky_matrices()
     eigs = np.linalg.eigvals(A + B @ gains.K)

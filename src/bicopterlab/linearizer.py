@@ -150,8 +150,9 @@ def _drift_flow_output(chi, p: PlantParams, t: float) -> tuple:
     return (y[0], y[1])
 
 
-def _output_time_derivs(chi, p: PlantParams, h: float) -> np.ndarray:
+def _output_time_derivs(chi, p: PlantParams) -> np.ndarray:
     """Derivatives d^k/dt^k H along the drift flow, k = 0..3, shape (4, 2)."""
+    h = _STENCIL_H
     samples = {}
     for j in range(-3, 4):
         samples[j] = (chi[0], chi[1]) if j == 0 else _drift_flow_output(chi, p, j * h)
@@ -217,8 +218,8 @@ def lie_relative_degree_check(chi, p: PlantParams) -> RelativeDegreeReport:
             chi_m = list(chi)
             chi_p[idx] += _PERTURB
             chi_m[idx] -= _PERTURB
-            d_p = _output_time_derivs(chi_p, p, _STENCIL_H)
-            d_m = _output_time_derivs(chi_m, p, _STENCIL_H)
+            d_p = _output_time_derivs(chi_p, p)
+            d_m = _output_time_derivs(chi_m, p)
             num[:, :, c] = (d_p - d_m) / (2.0 * _PERTURB) * col_scale
             scale = np.maximum(scale, np.abs(d_p).max(axis=1))
             scale = np.maximum(scale, np.abs(d_m).max(axis=1))

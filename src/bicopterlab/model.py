@@ -10,9 +10,10 @@ the body vertical axis; the physical inputs are folded into
 
     u = (u1, u2) = (f1 + f2, ell * (f2 - f1)),
 
-i.e. total thrust and differential torque. The extended model appends the
-thrust and its rate as states, chi = (x, u1, u1_dot), so that the new input
-w = (u1_ddot, u2) enters through an invertible map away from chi7 = 0.
+i.e. total thrust and differential torque; the model takes u, so it never
+needs the rotor arm ell. The extended model appends the thrust and its rate
+as states, chi = (x, u1, u1_dot), so that the new input w = (u1_ddot, u2)
+enters through an invertible map away from chi7 = 0.
 
 `rk4_step` is the one integrator, shared by the closed-loop simulation and
 the drift flows of the relative-degree oracle.
@@ -27,7 +28,6 @@ __all__ = [
     "PlantParams",
     "plant_deriv",
     "extended_deriv",
-    "motor_forces",
     "rk4_step",
 ]
 
@@ -38,7 +38,6 @@ class PlantParams:
 
     m: float = 1.0
     J: float = 0.05
-    ell: float = 0.5
     g: float = 9.81
 
     def __post_init__(self):
@@ -84,15 +83,6 @@ def extended_deriv(chi, w, p: PlantParams) -> tuple:
         chi[7],
         w[0],
     )
-
-
-def motor_forces(u, p: PlantParams) -> tuple:
-    """Recover the individual propeller forces (f1, f2) from (u1, u2).
-
-    Telemetry convenience only; the controller commands u2 directly.
-    """
-    half_diff = u[1] / p.ell / 2.0
-    return (u[0] / 2.0 - half_diff, u[0] / 2.0 + half_diff)
 
 
 def rk4_step(state, t: float, dt: float, deriv) -> list:

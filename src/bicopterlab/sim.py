@@ -93,8 +93,7 @@ class SimConfig:
     log_every: int = 10
 
     def __post_init__(self):
-        if len(self.poles) != 4:
-            raise ValidationError("SimConfig.poles must have 4 entries")
+        place_gains(self.poles)
         if not self.dt > 0.0:
             raise ValidationError("SimConfig.dt must be > 0")
         if not isfinite(self.t_end):

@@ -10,11 +10,12 @@ s^4 + a3 s^3 + a2 s^2 + a1 s + a0 is the product of (s - pole_i), the
 closed loop A + B K is Hurwitz; gain magnitudes are |k|.
 """
 
+from cmath import isfinite
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnstablePoleRequest
+from .errors import UnstablePoleRequest, ValidationError
 
 __all__ = [
     "GainSet",
@@ -40,10 +41,9 @@ class DesiredState:
 
 @dataclass(frozen=True)
 class GainSet:
-    """Per-axis feedback row and the poles it realizes."""
+    """Per-axis feedback row."""
 
     k_axis: tuple  # gains on (pos, vel, acc, jerk) error; negative values
-    poles: tuple
 
     @property
     def magnitudes(self) -> tuple:
@@ -79,8 +79,10 @@ def place_gains(poles) -> GainSet:
     """
     poles = tuple(complex(s) for s in poles)
     if len(poles) != 4:
-        raise ValueError("exactly 4 poles are required")
+        raise ValidationError("exactly 4 poles are required")
     for s in poles:
+        if not isfinite(s):
+            raise ValidationError(f"pole {s} is not finite")
         if s.real >= 0.0:
             raise UnstablePoleRequest(f"pole {s} has nonnegative real part")
     conj_sorted = sorted(poles, key=lambda s: (s.real, s.imag))
@@ -96,7 +98,9 @@ def place_gains(poles) -> GainSet:
     # coeffs = [1, a3, a2, a1, a0]
     a3, a2, a1, a0 = (c.real for c in coeffs[1:])
     k_axis = (-a0, -a1, -a2, -a3)
-    return GainSet(k_axis=k_axis, poles=poles)
+    if not all(isfinite(k) for k in k_axis):
+        raise ValidationError(f"poles {poles} give gains that are not finite")
+    return GainSet(k_axis=k_axis)
 
 
 def tracking_v(xi, des: DesiredState, gains: GainSet) -> tuple:

@@ -143,36 +143,18 @@ class HilbertSpec:
         return tuple(segments), end
 
 
-def _hilbert_cell(d: int) -> tuple:
-    """Grid cell (col, row) of curve index d on the 4x4 stage.
-
-    Classic bit-twiddling construction; axes are chosen so the traversal
-    starts (0,0) -> (1,0) -> (1,1) -> (0,1) and ends at (3,0).
-    """
-    x = y = 0
-    t = d
-    s = 1
-    while s < 4:
-        rx = 1 & (t // 2)
-        ry = 1 & (t ^ rx)
-        if ry == 0:
-            if rx == 1:
-                x, y = s - 1 - x, s - 1 - y
-            x, y = y, x
-        x += s * rx
-        y += s * ry
-        t //= 4
-        s *= 2
-    return (x, y)
+# Grid cells (col, row) of the order-2 curve on its 4x4 stage, in traversal order.
+_HILBERT_CELLS = (
+    (0, 0), (1, 0), (1, 1), (0, 1), (0, 2), (0, 3), (1, 3), (1, 2),
+    (2, 2), (2, 3), (3, 3), (3, 2), (3, 1), (2, 1), (2, 0), (3, 0),
+)
 
 
 def hilbert_waypoints(spec: HilbertSpec) -> list:
     """The 16 vertices of the scaled curve, in traversal order."""
     step = spec.size / 3.0
     ox, oy = spec.origin
-    return [
-        (ox + step * cx, oy + step * cy) for cx, cy in (_hilbert_cell(d) for d in range(16))
-    ]
+    return [(ox + step * cx, oy + step * cy) for cx, cy in _HILBERT_CELLS]
 
 
 def hilbert_ref(t: float, spec: HilbertSpec) -> DesiredState:

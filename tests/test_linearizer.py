@@ -187,7 +187,7 @@ def test_xi_matches_numeric_output_derivatives():
     for _ in range(5):
         chi = _random_chi(rng, lo=5.0, hi=15.0)
         xi = xi_of_chi(chi, M_TRUE, p.g)
-        d = _output_time_derivs(chi, p, h=2e-3)
+        d = _output_time_derivs(chi, p)
         # rows: derivative orders 0..3 of (y1, y2)
         assert d[1][0] == pytest.approx(xi[1], rel=1e-6, abs=1e-6)
         assert d[2][0] == pytest.approx(xi[2], rel=1e-5, abs=1e-5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bicopterlab.errors import ValidationError
-from bicopterlab.model import PlantParams, extended_deriv, motor_forces, plant_deriv
+from bicopterlab.model import PlantParams, extended_deriv, plant_deriv
 from bicopterlab.sim import rk4_step
 
 P = PlantParams()
@@ -12,7 +12,7 @@ P = PlantParams()
 
 def test_params_validation():
     inf = float("inf")
-    for bad in (dict(m=-1.0), dict(J=0.0), dict(ell=-0.5), dict(g=0.0), dict(m=inf), dict(J=inf)):
+    for bad in (dict(m=-1.0), dict(J=0.0), dict(g=0.0), dict(m=inf), dict(J=inf)):
         with pytest.raises(ValidationError):
             PlantParams(**bad)
 
@@ -80,21 +80,6 @@ def test_thrust_sign_flips_under_half_turn():
         # gravity stays, the thrust contribution reverses
         assert b[3] == pytest.approx(-a[3], abs=1e-12)
         assert b[4] + P.g == pytest.approx(-(a[4] + P.g), abs=1e-12)
-
-
-def test_motor_forces_examples():
-    assert motor_forces((10.0, 0.0), P) == (5.0, 5.0)
-    assert motor_forces((0.0, 1.0), P) == (-1.0, 1.0)
-    assert motor_forces((4.0, 1.0), PlantParams(ell=1.0)) == (1.5, 2.5)
-
-
-def test_motor_forces_round_trip():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        u = tuple(rng.normal(size=2) * 10.0)
-        f1, f2 = motor_forces(u, P)
-        assert f1 + f2 == pytest.approx(u[0], rel=1e-12, abs=1e-12)
-        assert P.ell * (f2 - f1) == pytest.approx(u[1], rel=1e-12, abs=1e-12)
 
 
 def test_ballistic_invariants():

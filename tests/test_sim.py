@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bicopterlab.errors import EmptySeries, SingularThrust, ValidationError
+from bicopterlab.errors import EmptySeries, SingularThrust, UnstablePoleRequest, ValidationError
 from bicopterlab.sim import (
     COLUMNS,
     MAX_STEPS,
@@ -43,6 +43,11 @@ def test_config_validation():
         SimConfig(theta0=(2.0, -1.0))
     with pytest.raises(ValidationError):
         SimConfig(poles=(-1.0, -2.0, -3.0))
+    # poles are placed where they enter, not at the first step
+    with pytest.raises(ValidationError, match="not finite"):
+        SimConfig(poles=(float("nan"), -4.0, -5.0, -5.5))
+    with pytest.raises(UnstablePoleRequest):
+        SimConfig(poles=(0.5, -4.0, -5.0, -5.5))
     # step budget: huge horizons and tiny steps fail here, not by hanging
     for kwargs in ({"t_end": 1e300}, {"dt": 1e-300}, {"dt": 5e-324}):
         with pytest.raises(ValidationError, match=f"at most {MAX_STEPS} steps"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bicopterlab.errors import UnstablePoleRequest
+from bicopterlab.errors import UnstablePoleRequest, ValidationError
 from bicopterlab.sim import rk4_step
 from bicopterlab.tracker import DesiredState, brunovsky_matrices, place_gains, tracking_v
 
@@ -42,6 +42,15 @@ def test_place_gains_rejects_unstable():
         place_gains((0.0, -1.0, -2.0, -3.0))
     with pytest.raises(UnstablePoleRequest):
         place_gains((-1.0, -2.0, -3.0, 0.5 + 1.0j))
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), complex(-1.0, float("nan")), -1e308]
+)
+def test_place_gains_rejects_non_finite(bad):
+    # -1e308 is finite, but its characteristic polynomial overflows
+    with pytest.raises(ValidationError, match="not finite"):
+        place_gains((bad, -4.0, -5.0, -5.5))
 
 
 def test_place_gains_rejects_unpaired_complex():
