@@ -135,11 +135,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gains(args) -> int:
-    gains = place_gains(args.poles)
-    for i, mag in enumerate(gains.magnitudes, start=1):
-        print(f"K{i}: {mag:.17g}")
+    k = place_gains(args.poles)
+    for i, gain in enumerate(k, start=1):
+        print(f"K{i}: {abs(gain):.17g}")
     A, B = brunovsky_matrices()
-    eigs = np.linalg.eigvals(A + B @ gains.K)
+    eigs = np.linalg.eigvals(A + B @ np.kron(np.eye(2), k))
     eigs = sorted(eigs, key=lambda s: (s.real, s.imag))
     for i, s in enumerate(eigs, start=1):
         print(f"eig{i}: {s.real:.12g}{s.imag:+.12g}j")

@@ -178,7 +178,7 @@ class RelativeDegreeReport:
     passed: bool
 
     def lines(self):
-        """Render as stable key: value lines for the CLI."""
+        """Render as stable key: value lines; the verification demo prints them."""
         yield f"lower_order_max_k0: {self.lower_order_max[0]:.6e}"
         yield f"lower_order_max_k1: {self.lower_order_max[1]:.6e}"
         yield f"lower_order_max_k2: {self.lower_order_max[2]:.6e}"

@@ -25,6 +25,7 @@ decouple.
 """
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from math import isfinite
 
 import numpy as np
@@ -93,7 +94,7 @@ class SimConfig:
     log_every: int = 10
 
     def __post_init__(self):
-        place_gains(self.poles)
+        self.gains  # places the poles, which checks them
         if not self.dt > 0.0:
             raise ValidationError("SimConfig.dt must be > 0")
         if not isfinite(self.t_end):
@@ -113,6 +114,15 @@ class SimConfig:
                 raise ValidationError("SimConfig.x0 must have 6 entries")
             if not all(isfinite(v) for v in self.x0):
                 raise ValidationError("SimConfig.x0 entries must be finite")
+
+    @cached_property
+    def gains(self) -> tuple:
+        """The gain row of `poles`, placed once per config.
+
+        It lives in the instance's __dict__, not in a field, so it is no
+        config key and takes no part in __eq__, __hash__ or __repr__.
+        """
+        return place_gains(self.poles)
 
     @property
     def theta_true(self) -> tuple:
@@ -201,7 +211,7 @@ def _closed_loop(cfg: SimConfig) -> tuple:
     g = p.g
     est = cfg.est
     gamma, forgetting, floor = est.gamma, est.forgetting, est.theta_floor
-    gains = place_gains(cfg.poles)
+    gains = cfg.gains
     traj = cfg.traj
     ellipse = isinstance(traj, EllipseSpec)
     adaptive = cfg.adaptive
@@ -236,7 +246,7 @@ def _closed_loop(cfg: SimConfig) -> tuple:
         theta = y[_THETA]
         xi, des, v, w = control(chi, theta, t)
         theta_err = ((theta[0] - m_inv) ** 2 + (theta[1] - j_inv) ** 2) ** 0.5
-        xd = des.xi_d
+        xd = des[0]
         return (t, *chi[0:6], chi[6], w[1], *w, *xi, *xd, *v, *theta, theta_err,
                 chi[0] - xd[0], chi[1] - xd[4])
 

@@ -5,57 +5,28 @@ four integrators, so state feedback reduces to matching the coefficients
 of the desired characteristic polynomial (companion-form placement). The
 same 4-gain row is applied to both axes.
 
-Sign convention: with gains k = -(a0, a1, a2, a3), where
-s^4 + a3 s^3 + a2 s^2 + a1 s + a0 is the product of (s - pole_i), the
-closed loop A + B K is Hurwitz; gain magnitudes are |k|.
+Sign convention: `place_gains` returns the plain 4-tuple k = -(a0, a1,
+a2, a3) of gains on (pos, vel, acc, jerk) error, where
+s^4 + a3 s^3 + a2 s^2 + a1 s + a0 is the product of (s - pole_i); with
+K = np.kron(np.eye(2), k), the 2x8 matrix acting blockwise on both chains,
+the closed loop A + B K is Hurwitz. Gain magnitudes are |k|.
+
+A reference is the pair (xi_d, ff): xi_d stacks position through jerk of
+axis 1, then axis 2 (8 floats); ff holds the 4th reference derivative per
+axis (2 floats).
 """
 
 from cmath import isfinite
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnstablePoleRequest, ValidationError
 
 __all__ = [
-    "GainSet",
-    "DesiredState",
     "brunovsky_matrices",
     "place_gains",
     "tracking_v",
 ]
-
-
-@dataclass(frozen=True)
-class DesiredState:
-    """Reference for the tracking law.
-
-    xi_d stacks position through jerk for each axis; ff is the 4th
-    reference derivative per axis, zeroed where the trajectory is
-    nonsmooth.
-    """
-
-    xi_d: tuple
-    ff: tuple
-
-
-@dataclass(frozen=True)
-class GainSet:
-    """Per-axis feedback row."""
-
-    k_axis: tuple  # gains on (pos, vel, acc, jerk) error; negative values
-
-    @property
-    def magnitudes(self) -> tuple:
-        return tuple(abs(k) for k in self.k_axis)
-
-    @property
-    def K(self) -> np.ndarray:
-        """Full 2x8 feedback matrix acting blockwise on both chains."""
-        K = np.zeros((2, 8))
-        K[0, 0:4] = self.k_axis
-        K[1, 4:8] = self.k_axis
-        return K
 
 
 def brunovsky_matrices() -> tuple:
@@ -69,8 +40,8 @@ def brunovsky_matrices() -> tuple:
     return A, B
 
 
-def place_gains(poles) -> GainSet:
-    """Synthesize the feedback row realizing the four requested poles.
+def place_gains(poles) -> tuple:
+    """Synthesize the feedback row k realizing the four requested poles.
 
     Complex poles must appear in conjugate pairs; the characteristic
     polynomial is expanded over them, so the resulting coefficients are
@@ -88,7 +59,7 @@ def place_gains(poles) -> GainSet:
     conj_sorted = sorted(poles, key=lambda s: (s.real, s.imag))
     paired = sorted((s.conjugate() for s in poles), key=lambda s: (s.real, s.imag))
     if any(abs(a - b) > 1e-12 * max(1.0, abs(a)) for a, b in zip(conj_sorted, paired)):
-        raise ValueError("complex poles must appear in conjugate pairs")
+        raise ValidationError("complex poles must appear in conjugate pairs")
 
     coeffs = [complex(1.0)]  # monic, ascending convolution with (s - pole)
     for s in poles:
@@ -97,28 +68,31 @@ def place_gains(poles) -> GainSet:
             coeffs[i] = coeffs[i] - s * coeffs[i - 1]
     # coeffs = [1, a3, a2, a1, a0]
     a3, a2, a1, a0 = (c.real for c in coeffs[1:])
-    k_axis = (-a0, -a1, -a2, -a3)
-    if not all(isfinite(k) for k in k_axis):
+    k = (-a0, -a1, -a2, -a3)
+    if not all(isfinite(g) for g in k):
         raise ValidationError(f"poles {poles} give gains that are not finite")
-    return GainSet(k_axis=k_axis)
+    # A Hurwitz polynomial has only positive coefficients: a zero gain is a
+    # coefficient that underflowed, and with it a pole the loop would not have.
+    if max(k) >= 0.0:
+        raise ValidationError(f"poles {poles} give a zero gain: a coefficient underflows")
+    return k
 
 
-def tracking_v(xi, des: DesiredState, gains: GainSet) -> tuple:
-    """Virtual input v = K (xi - xi_d) + feedforward, per axis."""
-    k = gains.k_axis
-    xd = des.xi_d
+def tracking_v(xi, des, k) -> tuple:
+    """Virtual input v = K (xi - xi_d) + ff per axis, for des = (xi_d, ff)."""
+    xd, ff = des
     v1 = (
         k[0] * (xi[0] - xd[0])
         + k[1] * (xi[1] - xd[1])
         + k[2] * (xi[2] - xd[2])
         + k[3] * (xi[3] - xd[3])
-        + des.ff[0]
+        + ff[0]
     )
     v2 = (
         k[0] * (xi[4] - xd[4])
         + k[1] * (xi[5] - xd[5])
         + k[2] * (xi[6] - xd[6])
         + k[3] * (xi[7] - xd[7])
-        + des.ff[1]
+        + ff[1]
     )
     return (v1, v2)

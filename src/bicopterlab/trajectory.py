@@ -1,7 +1,8 @@
 """Reference trajectories: a tilted ellipse and an order-2 Hilbert path.
 
-Both generators return the full desired chain state (position through
-jerk per axis) plus the 4th-derivative feedforward. The ellipse is smooth
+Both generators return the plain pair (xi_d, ff): xi_d is the desired
+chain state, position through jerk of axis 1 then axis 2 (8 floats), and
+ff the 4th-derivative feedforward per axis (2 floats). The ellipse is smooth
 and carries an exact analytic feedforward; the Hilbert path is piecewise
 linear, so acceleration, jerk, and feedforward are zero and corners are
 genuinely nonsmooth.
@@ -21,7 +22,6 @@ from functools import cached_property
 from math import cos, isfinite, radians, sin
 
 from .errors import ValidationError
-from .tracker import DesiredState
 
 __all__ = [
     "EllipseSpec",
@@ -73,8 +73,8 @@ class EllipseSpec:
         )
 
 
-def ellipse_ref(t: float, spec: EllipseSpec) -> DesiredState:
-    """Desired chain state of the ellipse at time t.
+def ellipse_ref(t: float, spec: EllipseSpec) -> tuple:
+    """The (xi_d, ff) pair of the ellipse at time t.
 
     Per axis the position is c + A cos(wt) + B sin(wt), so every
     derivative is analytic and the 4th derivative is w^4 (pos - c).
@@ -92,7 +92,7 @@ def ellipse_ref(t: float, spec: EllipseSpec) -> DesiredState:
     j2 = w3 * (A2 * sw - B2 * cw)
     f1 = w4 * (A1 * cw + B1 * sw)
     f2 = w4 * (A2 * cw + B2 * sw)
-    return DesiredState(xi_d=(p1, v1, a1, j1, p2, v2, a2, j2), ff=(f1, f2))
+    return (p1, v1, a1, j1, p2, v2, a2, j2), (f1, f2)
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class HilbertSpec:
         """(segments, end) of hilbert_ref.
 
         segments holds one row (x0, y0, dx, dy, vx, vy) per segment; end is
-        the state clamped at the last waypoint.
+        the (xi_d, ff) pair clamped at the last waypoint.
         """
         pts = hilbert_waypoints(self)
         segments = []
@@ -139,8 +139,7 @@ class HilbertSpec:
             dx, dy = x1 - x0, y1 - y0
             segments.append((x0, y0, dx, dy, dx / self.seg_time, dy / self.seg_time))
         px, py = pts[15]
-        end = DesiredState(xi_d=(px, 0.0, 0.0, 0.0, py, 0.0, 0.0, 0.0), ff=(0.0, 0.0))
-        return tuple(segments), end
+        return tuple(segments), ((px, 0.0, 0.0, 0.0, py, 0.0, 0.0, 0.0), (0.0, 0.0))
 
 
 # Grid cells (col, row) of the order-2 curve on its 4x4 stage, in traversal order.
@@ -157,7 +156,7 @@ def hilbert_waypoints(spec: HilbertSpec) -> list:
     return [(ox + step * cx, oy + step * cy) for cx, cy in _HILBERT_CELLS]
 
 
-def hilbert_ref(t: float, spec: HilbertSpec) -> DesiredState:
+def hilbert_ref(t: float, spec: HilbertSpec) -> tuple:
     """Piecewise-linear interpolation along the waypoint path.
 
     Constant speed (size/3)/seg_time on each segment; past the last
@@ -171,6 +170,4 @@ def hilbert_ref(t: float, spec: HilbertSpec) -> DesiredState:
         return end
     x0, y0, dx, dy, vx, vy = segments[seg]
     frac = (t - seg * seg_time) / seg_time
-    return DesiredState(
-        xi_d=(x0 + frac * dx, vx, 0.0, 0.0, y0 + frac * dy, vy, 0.0, 0.0), ff=(0.0, 0.0)
-    )
+    return (x0 + frac * dx, vx, 0.0, 0.0, y0 + frac * dy, vy, 0.0, 0.0), (0.0, 0.0)

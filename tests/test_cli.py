@@ -1,5 +1,6 @@
 """Config parsing and the command-line entry points."""
 
+import inspect
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bicopterlab
 from bicopterlab.cli import _KEYS, parse_config, run_cli
 from bicopterlab.errors import BicopterError, ParseError, ValidationError
 from bicopterlab.sim import COLUMNS, SimConfig
@@ -123,7 +125,11 @@ def test_gains_command_rejects_unstable(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("poles", [("nan", "-4", "-5", "-5.5"), ("-1e308",) * 4])
+# -1e308 overflows the characteristic coefficients; -1e-200 underflows
+# three of them to 0, which would place only one pole.
+@pytest.mark.parametrize(
+    "poles", [("nan", "-4", "-5", "-5.5"), ("-1e308",) * 4, ("-1e-200",) * 4]
+)
 def test_gains_command_rejects_non_finite(capsys, poles):
     rc = run_cli(["gains", "--", *poles])
     captured = capsys.readouterr()
@@ -294,6 +300,19 @@ def test_verify_beta_inverse_overflow_is_one_line_error(tmp_path, capsys):
     assert "beta_inverse_pass" not in captured.out
 
 
+@pytest.mark.parametrize("t_end", ["4.995", "2.003"])
+def test_verify_skips_the_off_grid_last_row(tmp_path, capsys, t_end):
+    # simulate logs its last step, here 5 or 3 ms after the last 10 ms
+    # grid row; a stencil across that short gap used to read 2.9e5 and 4.7e5
+    cfg_path = tmp_path / "ragged.cfg"
+    cfg_path.write_text(f"sim.t_end = {t_end}\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "closed_loop_fourth_derivative_rel_err: 1.820371e-05\n" in out
+    assert out.endswith("all_pass: true\n")
+
+
 def test_verify_short_run_names_the_cutoff(tmp_path, capsys):
     cfg_path = tmp_path / "short.cfg"
     cfg_path.write_text("sim.t_end = 0.3\n")
@@ -347,6 +366,17 @@ def _readme_defaults():
         else:  # one key whose default depends on the trajectory kind
             defaults += [(row_keys[0], v, kind) for v, kind in literals]
     return keys, defaults
+
+
+def test_readme_lists_the_package_names():
+    text = README.read_text()
+    api = text[text.index("Library API:"):text.index("Every other function")]
+    public = {
+        name
+        for name, value in vars(bicopterlab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(re.findall(r"`(\w+)`", api)) == public
 
 
 def test_readme_table_documents_every_key():

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bicopterlab import sim
 from bicopterlab.errors import EmptySeries, SingularThrust, UnstablePoleRequest, ValidationError
 from bicopterlab.sim import (
     COLUMNS,
@@ -22,6 +23,7 @@ from bicopterlab.sim import (
     simulate,
     summarize,
 )
+from bicopterlab.tracker import place_gains
 from bicopterlab.trajectory import HilbertSpec
 
 KNOWN = SimConfig(adaptive=False, theta0=(1.0, 20.0))
@@ -53,6 +55,23 @@ def test_config_validation():
         with pytest.raises(ValidationError, match=f"at most {MAX_STEPS} steps"):
             SimConfig(**kwargs)
     SimConfig(t_end=MAX_STEPS * 1e-3)  # the budget itself is admitted
+
+
+def test_poles_are_placed_once_per_config(monkeypatch):
+    placed = []
+
+    def counting_place_gains(poles):
+        placed.append(poles)
+        return place_gains(poles)
+
+    monkeypatch.setattr(sim, "place_gains", counting_place_gains)
+    cfg = replace(KNOWN, t_end=0.05)
+    assert cfg.gains == (-495.0, -422.75, -134.75, -19.0)
+    simulate(cfg)
+    assert placed == [cfg.poles]  # at construction, not again by the run
+    # the row is cached, not a field: no config key, no part in eq or repr
+    assert "gains" not in {f.name for f in fields(SimConfig)}
+    assert cfg == replace(cfg) and "gains" not in repr(cfg)
 
 
 def test_rk4_constant():

@@ -5,10 +5,11 @@ import pytest
 
 from bicopterlab.errors import UnstablePoleRequest, ValidationError
 from bicopterlab.sim import rk4_step
-from bicopterlab.tracker import DesiredState, brunovsky_matrices, place_gains, tracking_v
+from bicopterlab.sim import SimConfig
+from bicopterlab.tracker import brunovsky_matrices, place_gains, tracking_v
 
 DESIGN_POLES = (-4.5, -4.0, -5.0, -5.5)
-DESIGN_MAGNITUDES = (495.0, 422.75, 134.75, 19.0)
+DESIGN_GAINS = (-495.0, -422.75, -134.75, -19.0)
 
 
 def test_brunovsky_structure():
@@ -27,14 +28,12 @@ def test_brunovsky_controllable():
 
 
 def test_place_gains_design_poles_exact():
-    gains = place_gains(DESIGN_POLES)
     # dyadic-rational poles make the polynomial expansion exact in floats
-    assert gains.magnitudes == DESIGN_MAGNITUDES
+    assert place_gains(DESIGN_POLES) == DESIGN_GAINS
 
 
 def test_place_gains_binomial():
-    gains = place_gains((-1.0, -1.0, -1.0, -1.0))
-    assert gains.magnitudes == (1.0, 4.0, 6.0, 4.0)
+    assert place_gains((-1.0, -1.0, -1.0, -1.0)) == (-1.0, -4.0, -6.0, -4.0)
 
 
 def test_place_gains_rejects_unstable():
@@ -54,15 +53,27 @@ def test_place_gains_rejects_non_finite(bad):
 
 
 def test_place_gains_rejects_unpaired_complex():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="conjugate pairs"):
         place_gains((-1.0 + 1.0j, -1.0 + 2.0j, -2.0, -3.0))
+    with pytest.raises(ValidationError, match="conjugate pairs"):
+        SimConfig(poles=(-1.0 + 1.0j, -1.0, -2.0, -3.0))
+
+
+@pytest.mark.parametrize("poles", [(-1e-200,) * 4, (-1e-200, -1e-200, -1.0, -1.0)])
+def test_place_gains_rejects_underflowed_coefficients(poles):
+    # every pole is stable, but a0 (and with four tiny poles a1 and a2)
+    # underflows to 0: the row would leave a closed-loop pole at 0
+    with pytest.raises(ValidationError, match="zero gain"):
+        place_gains(poles)
+    with pytest.raises(ValidationError, match="zero gain"):
+        SimConfig(poles=poles)
 
 
 def test_closed_loop_eigenvalues_doubled():
     A, B = brunovsky_matrices()
     for poles in (DESIGN_POLES, (-1.0, -2.0, -3.0, -4.0), (-1.0 + 1.0j, -1.0 - 1.0j, -2.0, -3.0)):
-        gains = place_gains(poles)
-        eigs = np.linalg.eigvals(A + B @ gains.K)
+        K = np.kron(np.eye(2), place_gains(poles))
+        eigs = np.linalg.eigvals(A + B @ K)
         want = sorted(list(poles) * 2, key=lambda s: (complex(s).real, complex(s).imag))
         got = sorted(eigs, key=lambda s: (s.real, s.imag))
         for a, b in zip(got, want):
@@ -70,31 +81,29 @@ def test_closed_loop_eigenvalues_doubled():
 
 
 def test_tracking_v_zero_error():
-    gains = place_gains(DESIGN_POLES)
+    k = place_gains(DESIGN_POLES)
     xi = tuple(float(i) for i in range(8))
-    des = DesiredState(xi_d=xi, ff=(0.0, 0.0))
-    assert tracking_v(xi, des, gains) == (0.0, 0.0)
-    des_ff = DesiredState(xi_d=xi, ff=(2.0, -1.0))
-    assert tracking_v(xi, des_ff, gains) == (2.0, -1.0)
+    assert tracking_v(xi, (xi, (0.0, 0.0)), k) == (0.0, 0.0)
+    assert tracking_v(xi, (xi, (2.0, -1.0)), k) == (2.0, -1.0)
 
 
 def test_tracking_v_position_gain_sign():
-    gains = place_gains(DESIGN_POLES)
+    k = place_gains(DESIGN_POLES)
     xi = (1.0,) + (0.0,) * 7
-    des = DesiredState(xi_d=(0.0,) * 8, ff=(0.0, 0.0))
-    assert tracking_v(xi, des, gains) == (-495.0, 0.0)
+    assert tracking_v(xi, ((0.0,) * 8, (0.0, 0.0)), k) == (-495.0, 0.0)
 
 
 def test_tracking_v_affine():
     rng = np.random.default_rng(8)
-    gains = place_gains(DESIGN_POLES)
-    des = DesiredState(xi_d=tuple(rng.normal(size=8)), ff=tuple(rng.normal(size=2)))
+    k = place_gains(DESIGN_POLES)
+    K = np.kron(np.eye(2), k)
+    des = (tuple(rng.normal(size=8)), tuple(rng.normal(size=2)))
     for _ in range(20):
         xi = rng.normal(size=8)
         delta = rng.normal(size=8)
-        va = np.asarray(tracking_v(tuple(xi + delta), des, gains))
-        vb = np.asarray(tracking_v(tuple(xi), des, gains))
-        assert va - vb == pytest.approx(gains.K @ delta, rel=1e-10, abs=1e-10)
+        va = np.asarray(tracking_v(tuple(xi + delta), des, k))
+        vb = np.asarray(tracking_v(tuple(xi), des, k))
+        assert va - vb == pytest.approx(K @ delta, rel=1e-10, abs=1e-10)
 
 
 def test_error_decay_within_two_seconds():
@@ -103,8 +112,7 @@ def test_error_decay_within_two_seconds():
     # units is dominated by the slower-shrinking jerk coordinate and does
     # not meet 2%; settling is a statement about position.)
     A, B = brunovsky_matrices()
-    gains = place_gains(DESIGN_POLES)
-    Acl = A + B @ gains.K
+    Acl = A + B @ np.kron(np.eye(2), place_gains(DESIGN_POLES))
     dt = 1e-3
     for j in range(8):
         e = list(np.eye(8)[j])

@@ -9,7 +9,6 @@ import pytest
 from bicopterlab.cli import parse_config
 from bicopterlab.errors import ValidationError
 from bicopterlab.sim import SimConfig, simulate
-from bicopterlab.tracker import DesiredState
 from bicopterlab.trajectory import (
     EllipseSpec,
     HilbertSpec,
@@ -40,16 +39,16 @@ def test_spec_validation():
 
 
 def test_ellipse_starts_at_origin():
-    des = ellipse_ref(0.0, ELLIPSE)
-    assert des.xi_d[0] == pytest.approx(0.0, abs=1e-15)
-    assert des.xi_d[4] == pytest.approx(0.0, abs=1e-15)
-    assert des.xi_d[1] == pytest.approx(START_VEL, rel=1e-15)
+    xi_d, _ = ellipse_ref(0.0, ELLIPSE)
+    assert xi_d[0] == pytest.approx(0.0, abs=1e-15)
+    assert xi_d[4] == pytest.approx(0.0, abs=1e-15)
+    assert xi_d[1] == pytest.approx(START_VEL, rel=1e-15)
 
 
 def test_ellipse_half_period():
-    des = ellipse_ref(np.pi, ELLIPSE)
-    assert des.xi_d[0] == pytest.approx(FAR_POINT, rel=1e-12)
-    assert des.xi_d[4] == pytest.approx(FAR_POINT, rel=1e-12)
+    xi_d, _ = ellipse_ref(np.pi, ELLIPSE)
+    assert xi_d[0] == pytest.approx(FAR_POINT, rel=1e-12)
+    assert xi_d[4] == pytest.approx(FAR_POINT, rel=1e-12)
 
 
 def test_ellipse_locus():
@@ -63,8 +62,8 @@ def test_ellipse_locus():
         ]
     )
     for t in np.linspace(0.0, 2.0 * np.pi, 97):
-        des = ellipse_ref(float(t), spec)
-        p = np.array([des.xi_d[0], des.xi_d[4]])
+        xi_d, _ = ellipse_ref(float(t), spec)
+        p = np.array([xi_d[0], xi_d[4]])
         q = R @ (p - c)
         assert (q[0] / 5.0) ** 2 + (q[1] / 3.0) ** 2 == pytest.approx(1.0, abs=1e-9)
 
@@ -74,28 +73,24 @@ def test_ellipse_derivative_chain():
     # including the fourth-derivative feedforward.
     h = 1e-5
     for t in (0.0, 0.7, 2.3, 5.1):
-        lo = ellipse_ref(t - h, ELLIPSE)
-        hi = ellipse_ref(t + h, ELLIPSE)
-        mid = ellipse_ref(t, ELLIPSE)
+        lo = ellipse_ref(t - h, ELLIPSE)[0]
+        hi = ellipse_ref(t + h, ELLIPSE)[0]
+        mid, mid_ff = ellipse_ref(t, ELLIPSE)
         for axis in (0, 4):
             for k in range(3):
-                fd = (hi.xi_d[axis + k] - lo.xi_d[axis + k]) / (2.0 * h)
-                assert fd == pytest.approx(mid.xi_d[axis + k + 1], rel=1e-6, abs=1e-6)
-            fd4 = (hi.xi_d[axis + 3] - lo.xi_d[axis + 3]) / (2.0 * h)
-            assert fd4 == pytest.approx(mid.ff[axis // 4], rel=1e-6, abs=1e-6)
+                fd = (hi[axis + k] - lo[axis + k]) / (2.0 * h)
+                assert fd == pytest.approx(mid[axis + k + 1], rel=1e-6, abs=1e-6)
+            fd4 = (hi[axis + 3] - lo[axis + 3]) / (2.0 * h)
+            assert fd4 == pytest.approx(mid_ff[axis // 4], rel=1e-6, abs=1e-6)
 
 
 def test_ellipse_feedforward_closed_form():
     # For a harmonic path the 4th derivative is omega^4 (pos - center).
     spec = ELLIPSE
     for t in (0.3, 1.1, 4.0):
-        des = ellipse_ref(t, spec)
-        assert des.ff[0] == pytest.approx(
-            spec.omega**4 * (des.xi_d[0] - spec.center[0]), rel=1e-12
-        )
-        assert des.ff[1] == pytest.approx(
-            spec.omega**4 * (des.xi_d[4] - spec.center[1]), rel=1e-12
-        )
+        xi_d, ff = ellipse_ref(t, spec)
+        assert ff[0] == pytest.approx(spec.omega**4 * (xi_d[0] - spec.center[0]), rel=1e-12)
+        assert ff[1] == pytest.approx(spec.omega**4 * (xi_d[4] - spec.center[1]), rel=1e-12)
 
 
 def test_hilbert_waypoints_shape():
@@ -124,37 +119,37 @@ def test_hilbert_unit_steps():
 
 
 def test_hilbert_ref_endpoints():
-    des0 = hilbert_ref(0.0, HILBERT)
-    assert (des0.xi_d[0], des0.xi_d[4]) == hilbert_waypoints(HILBERT)[0]
-    assert des0.ff == (0.0, 0.0)
-    mid = hilbert_ref(HILBERT.seg_time / 2.0, HILBERT)
-    assert (mid.xi_d[0], mid.xi_d[4]) == (0.5, 0.0)
+    xi_d, ff = hilbert_ref(0.0, HILBERT)
+    assert (xi_d[0], xi_d[4]) == hilbert_waypoints(HILBERT)[0]
+    assert ff == (0.0, 0.0)
+    mid = hilbert_ref(HILBERT.seg_time / 2.0, HILBERT)[0]
+    assert (mid[0], mid[4]) == (0.5, 0.0)
 
 
 def test_hilbert_ref_segment_velocity():
-    des = hilbert_ref(0.5, HILBERT)
+    xi_d, _ = hilbert_ref(0.5, HILBERT)
     speed = (HILBERT.size / 3.0) / HILBERT.seg_time
-    assert (des.xi_d[1], des.xi_d[5]) == (speed, 0.0)
+    assert (xi_d[1], xi_d[5]) == (speed, 0.0)
     # acceleration and jerk are declared zero on the linear segments
-    assert des.xi_d[2] == des.xi_d[3] == des.xi_d[6] == des.xi_d[7] == 0.0
+    assert xi_d[2] == xi_d[3] == xi_d[6] == xi_d[7] == 0.0
 
 
 def test_hilbert_corner_is_nonsmooth():
     # One-sided velocities at a corner time differ by a right angle.
     tc = HILBERT.seg_time  # first corner
-    before = hilbert_ref(tc - 1e-9, HILBERT)
-    after = hilbert_ref(tc + 1e-9, HILBERT)
-    va = np.array([before.xi_d[1], before.xi_d[5]])
-    vb = np.array([after.xi_d[1], after.xi_d[5]])
+    before = hilbert_ref(tc - 1e-9, HILBERT)[0]
+    after = hilbert_ref(tc + 1e-9, HILBERT)[0]
+    va = np.array([before[1], before[5]])
+    vb = np.array([after[1], after[5]])
     assert float(va @ vb) == pytest.approx(0.0, abs=1e-12)
     assert np.linalg.norm(va) > 0.0 and np.linalg.norm(vb) > 0.0
 
 
 def test_hilbert_clamps_past_end():
-    des = hilbert_ref(HILBERT.duration + 5.0, HILBERT)
-    assert (des.xi_d[0], des.xi_d[4]) == hilbert_waypoints(HILBERT)[-1]
-    assert des.xi_d[1] == des.xi_d[5] == 0.0
-    assert des.ff == (0.0, 0.0)
+    xi_d, ff = hilbert_ref(HILBERT.duration + 5.0, HILBERT)
+    assert (xi_d[0], xi_d[4]) == hilbert_waypoints(HILBERT)[-1]
+    assert xi_d[1] == xi_d[5] == 0.0
+    assert ff == (0.0, 0.0)
 
 
 def test_hilbert_path_length_and_duration():
@@ -168,12 +163,13 @@ def test_hilbert_path_length_and_duration():
 
 def test_hilbert_ff_zero_everywhere():
     for t in np.linspace(0.0, HILBERT.duration, 301):
-        assert hilbert_ref(float(t), HILBERT).ff == (0.0, 0.0)
+        assert hilbert_ref(float(t), HILBERT)[1] == (0.0, 0.0)
 
 
 def _bits(des):
     # float.hex tells -0.0 from 0.0, so the comparison is bit for bit
-    return [v.hex() for v in des.xi_d + des.ff]
+    xi_d, ff = des
+    return [v.hex() for v in xi_d + ff]
 
 
 def _hilbert_ref_per_call(t, spec):
@@ -182,14 +178,14 @@ def _hilbert_ref_per_call(t, spec):
     seg = int(t // spec.seg_time) if t >= 0.0 else 0
     if seg >= 15:
         px, py = pts[15]
-        return DesiredState(xi_d=(px, 0.0, 0.0, 0.0, py, 0.0, 0.0, 0.0), ff=(0.0, 0.0))
+        return (px, 0.0, 0.0, 0.0, py, 0.0, 0.0, 0.0), (0.0, 0.0)
     frac = (t - seg * spec.seg_time) / spec.seg_time
     (x0, y0), (x1, y1) = pts[seg], pts[seg + 1]
     px = x0 + frac * (x1 - x0)
     py = y0 + frac * (y1 - y0)
     vx = (x1 - x0) / spec.seg_time
     vy = (y1 - y0) / spec.seg_time
-    return DesiredState(xi_d=(px, vx, 0.0, 0.0, py, vy, 0.0, 0.0), ff=(0.0, 0.0))
+    return (px, vx, 0.0, 0.0, py, vy, 0.0, 0.0), (0.0, 0.0)
 
 
 def _ellipse_ref_per_call(t, spec):
@@ -200,19 +196,17 @@ def _ellipse_ref_per_call(t, spec):
     A1, B1 = -spec.a * cphi, -spec.b * sphi
     A2, B2 = -spec.a * sphi, spec.b * cphi
     c1, c2 = spec.center
-    return DesiredState(
-        xi_d=(
-            c1 + A1 * cw + B1 * sw,
-            w * (-A1 * sw + B1 * cw),
-            -w * w * (A1 * cw + B1 * sw),
-            w ** 3 * (A1 * sw - B1 * cw),
-            c2 + A2 * cw + B2 * sw,
-            w * (-A2 * sw + B2 * cw),
-            -w * w * (A2 * cw + B2 * sw),
-            w ** 3 * (A2 * sw - B2 * cw),
-        ),
-        ff=(w ** 4 * (A1 * cw + B1 * sw), w ** 4 * (A2 * cw + B2 * sw)),
+    xi_d = (
+        c1 + A1 * cw + B1 * sw,
+        w * (-A1 * sw + B1 * cw),
+        -w * w * (A1 * cw + B1 * sw),
+        w ** 3 * (A1 * sw - B1 * cw),
+        c2 + A2 * cw + B2 * sw,
+        w * (-A2 * sw + B2 * cw),
+        -w * w * (A2 * cw + B2 * sw),
+        w ** 3 * (A2 * sw - B2 * cw),
     )
+    return xi_d, (w ** 4 * (A1 * cw + B1 * sw), w ** 4 * (A2 * cw + B2 * sw))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
