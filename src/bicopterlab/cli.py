@@ -121,7 +121,7 @@ def parse_config(text: str) -> SimConfig:
 def _load_config(path: str | None) -> SimConfig:
     if path is None:
         return parse_config("")
-    with open(path) as f:
+    with open(path, errors="replace") as f:  # U+FFFD spells no key
         return parse_config(f.read())
 
 

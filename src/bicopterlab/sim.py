@@ -197,6 +197,8 @@ class TimeSeries:
                     raise ParseError(
                         f"expected {len(COLUMNS)} fields, got {len(row)}", line_no
                     )
+                if not isfinite(sum(row)) and not all(map(isfinite, row)):
+                    raise ParseError("non-finite field", line_no)
                 rows.append(row)
         return cls(rows=rows)
 

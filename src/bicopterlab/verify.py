@@ -8,21 +8,23 @@ a computation that does not share its code path:
   2. inverse identity: beta @ beta_inv = I over random states;
   3. closed-loop identity: with exact parameters, finite differences of
      the logged output 4th derivative must match the logged virtual input.
+     The oracle flies its own run, the default ellipse on its own uniform
+     log grid, so of the config it reads only the plant, the poles and dt.
 """
-
-from dataclasses import replace
-from math import ceil, isclose
 
 import numpy as np
 
-from .errors import IllConditioned, ValidationError
+from .errors import IllConditioned
 from .linearizer import beta, beta_inv, lie_relative_degree_check
 from .sim import SimConfig, simulate
 
 __all__ = ["run_verification"]
 
-# Smallest step of the 4th-derivative stencil (s): the default log interval.
-STENCIL_MIN_STEP = 0.01
+# Log interval of the closed-loop run (s), to the nearest whole number of
+# steps: rounding in the 4th-derivative stencil grows as h^-4.
+STENCIL_STEP = 0.01
+# Log intervals the closed-loop run spans: 5 s at the default step.
+STENCIL_INTERVALS = 500
 # Stencil centers before this time (s) fall in the startup transient.
 STENCIL_CUTOFF = 0.5
 # Random states probed by the relative-degree and the inverse checks.
@@ -74,28 +76,12 @@ def fourth_derivative_rel_err(ts) -> float:
     """Worst relative gap between the stencil's y^(4) and the logged v, t > 0.5 s.
 
     y^(4) is differenced from the logged positions r1, r2 and compared with
-    v1, v2 at the stencil centers. The stencil takes every stride-th logged
-    row, with the smallest stride whose step is at least STENCIL_MIN_STEP:
-    rounding in the differences grows as h^-4, so a denser log must not
-    shrink the step. Only rows on the uniform log grid are differenced:
-    simulate always logs its last step, so a run whose length is not a
-    whole number of log intervals ends with one row off the grid. A run
-    with no stencil center past STENCIL_CUTOFF raises ValidationError.
+    v1, v2 at the stencil centers. Precondition: every row lies on one
+    uniform log grid, and some stencil center lies past STENCIL_CUTOFF.
     """
     t = ts.column("t")
-    t_last = t[-1]
-    # on the grid, gaps differ only in their last bits (0.009999999999999787)
-    n = len(t) if isclose(t[-1] - t[-2], t[1] - t[0], rel_tol=1e-6) else len(t) - 1
-    # the slack keeps rounding in an exact ratio (10 + 2e-15) from adding 1
-    stride = max(1, ceil(STENCIL_MIN_STEP / (t[1] - t[0]) - 1e-9))
-    t = t[:n:stride]
     center = slice(3, len(t) - 3)
     mask = t[center] > STENCIL_CUTOFF
-    if not mask.any():
-        raise ValidationError(
-            f"the closed-loop identity needs a stencil center past the {STENCIL_CUTOFF:g} s"
-            f" cutoff; the logged run ends at {t_last:g} s"
-        )
     h = t[1] - t[0]
     # 7-point central 4th-derivative stencil, O(h^4): the startup transient
     # carries large 6th derivatives, so the plain 5-point O(h^2) stencil is
@@ -103,8 +89,8 @@ def fourth_derivative_rel_err(ts) -> float:
     w = (-1.0 / 6.0, 2.0, -6.5, 28.0 / 3.0, -6.5, 2.0, -1.0 / 6.0)
     worst = 0.0
     for pos_col, v_col in (("r1", "v1"), ("r2", "v2")):
-        y = ts.column(pos_col)[:n:stride]
-        v = ts.column(v_col)[:n:stride]
+        y = ts.column(pos_col)
+        v = ts.column(v_col)
         d4 = sum(w[k] * y[k : len(y) - 6 + k] for k in range(6)) + w[6] * y[6:]
         d4 /= h ** 4
         rel = np.abs(d4 - v[center]) / np.maximum(1.0, np.abs(v[center]))
@@ -113,12 +99,17 @@ def fourth_derivative_rel_err(ts) -> float:
 
 
 def _check_closed_loop_identity(cfg: SimConfig, emit) -> bool:
-    """y^(4) reconstructed from logged positions must equal logged v."""
-    run_cfg = replace(
-        cfg,
-        adaptive=False,
-        theta0=cfg.theta_true,
-        t_end=min(cfg.t_end, 5.0),
+    """y^(4) differenced from a known-parameter ellipse run must equal its logged v.
+
+    The run keeps the config's step, which a stiff pole set needs, and spans
+    a whole number of log intervals, so every logged row lies on the grid.
+    It flies the default ellipse: v jumps at each Hilbert corner, and no
+    stencil spans a jump.
+    """
+    every = max(1, round(STENCIL_STEP / cfg.dt))
+    run_cfg = SimConfig(
+        plant=cfg.plant, poles=cfg.poles, dt=cfg.dt, t_end=STENCIL_INTERVALS * every * cfg.dt,
+        adaptive=False, theta0=cfg.theta_true, log_every=every,
     )
     worst = fourth_derivative_rel_err(simulate(run_cfg))
     ok = worst < 1e-3

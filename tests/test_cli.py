@@ -188,14 +188,45 @@ def test_verify_command(capsys):
     assert "all_pass: true" in out
 
 
-def test_verify_dense_log_passes(tmp_path, capsys):
-    # At log_every = 1 the stencil still differences on the 10 ms grid.
-    cfg_path = tmp_path / "dense.cfg"
-    cfg_path.write_text("sim.log_every = 1\n")
+# Keys outside the plant, the poles and sim.dt, each set off its default
+_KEYS_VERIFY_IGNORES = """\
+trajectory.kind = hilbert
+trajectory.origin = 1, -2
+sim.t_end = 0.3
+sim.log_every = 600
+sim.adaptive = false
+sim.theta0 = 1, 20
+sim.x0 = 0.5, 0.5, 0.1, 0, 0, 0
+estimator.gamma = 5
+"""
+
+
+def test_verify_reads_only_the_plant_poles_and_dt(tmp_path, capsys):
+    # The closed-loop oracle flies its own known-parameter ellipse on its own
+    # log grid, so no Hilbert corner, 0.6 s log step or run shorter than the
+    # 0.5 s stencil cutoff reaches it.
+    run_cli(["verify"])
+    default = capsys.readouterr().out
+    cfg_path = tmp_path / "ignored.cfg"
+    cfg_path.write_text(_KEYS_VERIFY_IGNORES)
     rc = run_cli(["verify", str(cfg_path)])
-    out = capsys.readouterr().out
     assert rc == 0
-    assert "closed_loop_identity_pass: true" in out
+    assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sim.dt = 0.004",  # logged every 2 steps, 8 ms
+        "sim.dt = 1e-4\ngains.poles = -5000, -4, -5, -5.5",  # stiff: needs the fine step
+    ],
+)
+def test_verify_passes_at_the_configs_step(tmp_path, capsys, text):
+    cfg_path = tmp_path / "step.cfg"
+    cfg_path.write_text(text + "\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith("closed_loop_identity_pass: true\nall_pass: true\n")
 
 
 _HEADER = ",".join(COLUMNS) + "\n"
@@ -209,6 +240,8 @@ _ROW = ",".join(["0"] * len(COLUMNS)) + "\n"
         ((_HEADER + _ROW + "0,1\n").encode(), 3),  # short row
         (b"t,x\n0,1\n", 1),  # foreign header
         (b"\xff\xfe\x00\n", 1),  # not text
+        ((_HEADER + _ROW + _ROW.replace("0", "nan")).encode(), 3),  # NaN row
+        ((_HEADER + _ROW + "inf" + _ROW[1:]).encode(), 3),  # one infinite field
     ],
 )
 def test_report_bad_csv_names_line(tmp_path, capsys, data, line_no):
@@ -300,27 +333,15 @@ def test_verify_beta_inverse_overflow_is_one_line_error(tmp_path, capsys):
     assert "beta_inverse_pass" not in captured.out
 
 
-@pytest.mark.parametrize("t_end", ["4.995", "2.003"])
-def test_verify_skips_the_off_grid_last_row(tmp_path, capsys, t_end):
-    # simulate logs its last step, here 5 or 3 ms after the last 10 ms
-    # grid row; a stencil across that short gap used to read 2.9e5 and 4.7e5
-    cfg_path = tmp_path / "ragged.cfg"
-    cfg_path.write_text(f"sim.t_end = {t_end}\n")
-    rc = run_cli(["verify", str(cfg_path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "closed_loop_fourth_derivative_rel_err: 1.820371e-05\n" in out
-    assert out.endswith("all_pass: true\n")
-
-
-def test_verify_short_run_names_the_cutoff(tmp_path, capsys):
-    cfg_path = tmp_path / "short.cfg"
-    cfg_path.write_text("sim.t_end = 0.3\n")
-    rc = run_cli(["verify", str(cfg_path)])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_non_utf8_config_ends_as_one_line_error(tmp_path, capsys, command):
+    cfg_path = tmp_path / "binary.cfg"
+    cfg_path.write_bytes(b"\xff\xfeplant.m = 1\n")
+    out_csv = [str(tmp_path / "out.csv")] if command == "simulate" else []
+    rc = run_cli([command, str(cfg_path), *out_csv])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "0.5 s cutoff" in err
+    assert err.startswith("error: line 1: unknown key ") and err.count("\n") == 1
 
 
 _NEAR_MISS_KEYS = [
