@@ -188,6 +188,16 @@ def test_verify_command(capsys):
     assert "all_pass: true" in out
 
 
+def test_verify_dense_log_passes(tmp_path, capsys):
+    # At log_every = 1 the oracle still differences its own 10 ms grid.
+    cfg_path = tmp_path / "dense.cfg"
+    cfg_path.write_text("sim.log_every = 1\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "closed_loop_identity_pass: true" in out
+
+
 # Keys outside the plant, the poles and sim.dt, each set off its default
 _KEYS_VERIFY_IGNORES = """\
 trajectory.kind = hilbert
@@ -331,6 +341,20 @@ def test_verify_beta_inverse_overflow_is_one_line_error(tmp_path, capsys):
     assert rc == 1
     assert captured.err == "error: beta inverse check left the float range\n"
     assert "beta_inverse_pass" not in captured.out
+
+
+@pytest.mark.parametrize("t_end", ["4.995", "2.003"])
+def test_verify_skips_the_off_grid_last_row(tmp_path, capsys, t_end):
+    # simulate logs its last step, here 5 or 3 ms after the last 10 ms grid
+    # row; the oracle's own run ends on its grid, so that row never reaches
+    # the stencil (across the short gap it used to read 2.9e5 and 4.7e5)
+    cfg_path = tmp_path / "ragged.cfg"
+    cfg_path.write_text(f"sim.t_end = {t_end}\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "closed_loop_fourth_derivative_rel_err: 1.820371e-05\n" in out
+    assert out.endswith("all_pass: true\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
