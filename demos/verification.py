@@ -20,12 +20,24 @@ from bicopterlab import (
 )
 
 
+def report_lines(report):
+    """The relative-degree report as stable key: value lines."""
+    for k in range(3):
+        yield f"lower_order_max_k{k}: {report.lower_order_max[k]:.6e}"
+    for i in range(2):
+        for j in range(2):
+            yield f"k3_matrix_{i+1}{j+1}: {report.k3_matrix[i, j]:.10e}"
+            yield f"beta_{i+1}{j+1}: {report.beta_matrix[i, j]:.10e}"
+    yield f"k3_rel_err: {report.k3_rel_err:.6e}"
+    yield f"passed: {str(report.passed).lower()}"
+
+
 def main() -> None:
     print("1. Relative-degree probe at a generic flight state")
     print("   (finite differences of drift flows, no symbolic math):\n")
     chi = (0.4, -0.2, 0.3, 0.1, -0.5, 0.8, 9.81, 0.6)
     report = lie_relative_degree_check(chi, PlantParams())
-    for line in report.lines():
+    for line in report_lines(report):
         print(f"   {line}")
 
     print("\n2. Pole placement at (-4.5, -4, -5, -5.5):\n")

@@ -177,18 +177,6 @@ class RelativeDegreeReport:
     k3_rel_err: float
     passed: bool
 
-    def lines(self):
-        """Render as stable key: value lines; the verification demo prints them."""
-        yield f"lower_order_max_k0: {self.lower_order_max[0]:.6e}"
-        yield f"lower_order_max_k1: {self.lower_order_max[1]:.6e}"
-        yield f"lower_order_max_k2: {self.lower_order_max[2]:.6e}"
-        for i in range(2):
-            for j in range(2):
-                yield f"k3_matrix_{i+1}{j+1}: {self.k3_matrix[i, j]:.10e}"
-                yield f"beta_{i+1}{j+1}: {self.beta_matrix[i, j]:.10e}"
-        yield f"k3_rel_err: {self.k3_rel_err:.6e}"
-        yield f"passed: {str(self.passed).lower()}"
-
 
 def lie_relative_degree_check(chi, p: PlantParams) -> RelativeDegreeReport:
     """Numerically probe how the input reaches the output derivatives.

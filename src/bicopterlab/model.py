@@ -26,7 +26,6 @@ from .errors import NonFiniteState, ValidationError
 
 __all__ = [
     "PlantParams",
-    "plant_deriv",
     "extended_deriv",
     "rk4_step",
 ]
@@ -46,23 +45,6 @@ class PlantParams:
                 raise ValidationError(f"PlantParams.{f.name} must be finite")
             if not getattr(self, f.name) > 0.0:
                 raise ValidationError(f"PlantParams.{f.name} must be > 0")
-
-
-def plant_deriv(x, u, p: PlantParams) -> tuple:
-    """Right-hand side of the 6-state rigid-body dynamics.
-
-    Thrust u1 acts along the body vertical axis, tilted by theta = x3;
-    torque u2 drives the roll acceleration directly.
-    """
-    s3, c3 = sin(x[2]), cos(x[2])
-    return (
-        x[3],
-        x[4],
-        x[5],
-        -u[0] * s3 / p.m,
-        -p.g + u[0] * c3 / p.m,
-        u[1] / p.J,
-    )
 
 
 def extended_deriv(chi, w, p: PlantParams) -> tuple:

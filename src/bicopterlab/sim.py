@@ -24,6 +24,7 @@ integrated; see the estimator module for why the two parameter channels
 decouple.
 """
 
+from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from math import isfinite
@@ -69,7 +70,7 @@ _PHIBAR = slice(19, 21)
 
 # Most RK4 steps (t_end / dt) one run may take: under a minute at the 20-40k
 # steps/s of a 2-core host and, at log_every = 1, a million logged rows
-# (about 1 GB). The canonical runs take at most 30,000.
+# (about 272 MB of float64). The canonical runs take at most 30,000.
 MAX_STEPS = 1_000_000
 
 # Settling thresholds used by the summary metrics.
@@ -160,21 +161,30 @@ COLUMNS = (
 )
 
 
-@dataclass
-class TimeSeries:
-    """Logged per-step records of one simulation run, one tuple per row."""
+def _block(buf: array) -> np.ndarray:
+    """The logged rows held in `buf`, as one (rows, len(COLUMNS)) float64 array."""
+    return np.frombuffer(buf).reshape(-1, len(COLUMNS))
 
-    rows: list = field(default_factory=list)
+
+@dataclass(eq=False)
+class TimeSeries:
+    """Logged per-step records of one simulation run, one float64 row per record.
+
+    `rows` is one C-contiguous array of shape (rows, len(COLUMNS)).
+    """
+
+    rows: np.ndarray = field(default_factory=lambda: _block(array("d")))
 
     def column(self, name: str) -> np.ndarray:
-        idx = COLUMNS.index(name)
-        return np.array([r[idx] for r in self.rows])
+        return self.rows[:, COLUMNS.index(name)].copy()
 
     def to_csv(self, path) -> None:
+        # One row at a time: converting the whole block to Python floats at
+        # once would cost about 1.2 KB per row.
         fmt = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
         with open(path, "w") as f:
             f.write(",".join(COLUMNS) + "\n")
-            f.writelines(fmt % row for row in self.rows)
+            f.writelines(fmt % tuple(row.tolist()) for row in self.rows)
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
@@ -185,7 +195,7 @@ class TimeSeries:
         with open(path, errors="replace") as f:
             if tuple(f.readline().strip().split(",")) != COLUMNS:
                 raise ParseError("header does not match the telemetry columns", 1)
-            rows = []
+            buf = array("d")
             for line_no, line in enumerate(f, start=2):
                 if not line.strip():
                     continue
@@ -199,8 +209,8 @@ class TimeSeries:
                     )
                 if not isfinite(sum(row)) and not all(map(isfinite, row)):
                     raise ParseError("non-finite field", line_no)
-                rows.append(row)
-        return cls(rows=rows)
+                buf.extend(row)
+        return cls(rows=_block(buf))
 
 
 def _closed_loop(cfg: SimConfig) -> tuple:
@@ -266,9 +276,9 @@ def simulate(cfg: SimConfig) -> TimeSeries:
     y = cfg.initial_state()
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
-    ts = TimeSeries()
+    buf = array("d")
     try:
-        ts.rows.append(record(y, 0.0))
+        buf.extend(record(y, 0.0))
     except _ABORTS as exc:
         raise _aborted(exc, 0, 0.0) from exc
     for i in range(n_steps):
@@ -276,10 +286,10 @@ def simulate(cfg: SimConfig) -> TimeSeries:
         try:
             y = rk4_step(y, t, dt, deriv)
             if (i + 1) % cfg.log_every == 0 or i + 1 == n_steps:
-                ts.rows.append(record(y, (i + 1) * dt))
+                buf.extend(record(y, (i + 1) * dt))
         except _ABORTS as exc:
             raise _aborted(exc, i, t) from exc
-    return ts
+    return TimeSeries(rows=_block(buf))
 
 
 def _aborted(exc: Exception, i: int, t: float) -> Exception:
@@ -322,7 +332,7 @@ def _first_sustained(t: np.ndarray, values: np.ndarray, tol: float) -> float:
 
 def summarize(ts: TimeSeries) -> Metrics:
     """Compute the summary metrics of a logged run."""
-    if not ts.rows:
+    if len(ts.rows) == 0:
         raise EmptySeries("cannot summarize an empty time series")
     t = ts.column("t")
     pos_err = np.hypot(ts.column("pos_err1"), ts.column("pos_err2"))

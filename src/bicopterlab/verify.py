@@ -14,9 +14,9 @@ a computation that does not share its code path:
 
 import numpy as np
 
-from .errors import IllConditioned
+from .errors import IllConditioned, ValidationError
 from .linearizer import beta, beta_inv, lie_relative_degree_check
-from .sim import SimConfig, simulate
+from .sim import MAX_STEPS, SimConfig, simulate
 
 __all__ = ["run_verification"]
 
@@ -107,8 +107,14 @@ def _check_closed_loop_identity(cfg: SimConfig, emit) -> bool:
     stencil spans a jump.
     """
     every = max(1, round(STENCIL_STEP / cfg.dt))
+    t_end = STENCIL_INTERVALS * every * cfg.dt
+    if not t_end / cfg.dt <= MAX_STEPS:  # SimConfig's own test, so it cannot blame t_end
+        raise ValidationError(
+            f"the closed-loop oracle needs a coarser sim.dt: at {cfg.dt:g} s its "
+            f"{STENCIL_INTERVALS} log intervals take more than {MAX_STEPS} steps"
+        )
     run_cfg = SimConfig(
-        plant=cfg.plant, poles=cfg.poles, dt=cfg.dt, t_end=STENCIL_INTERVALS * every * cfg.dt,
+        plant=cfg.plant, poles=cfg.poles, dt=cfg.dt, t_end=t_end,
         adaptive=False, theta0=cfg.theta_true, log_every=every,
     )
     worst = fourth_derivative_rel_err(simulate(run_cfg))

@@ -239,6 +239,18 @@ def test_verify_passes_at_the_configs_step(tmp_path, capsys, text):
     assert capsys.readouterr().out.endswith("closed_loop_identity_pass: true\nall_pass: true\n")
 
 
+def test_verify_too_fine_a_step_names_the_oracle(tmp_path, capsys):
+    # The run itself fits the step budget; the oracle's 500 log intervals
+    # of 2500 steps each do not.
+    cfg_path = tmp_path / "fine.cfg"
+    cfg_path.write_text("sim.dt = 4e-6\nsim.t_end = 1\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: the closed-loop oracle ") and err.count("\n") == 1
+    assert "sim.dt" in err and "t_end" not in err
+
+
 _HEADER = ",".join(COLUMNS) + "\n"
 _ROW = ",".join(["0"] * len(COLUMNS)) + "\n"
 
@@ -261,6 +273,14 @@ def test_report_bad_csv_names_line(tmp_path, capsys, data, line_no):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"error: line {line_no}: ") and err.count("\n") == 1
+
+
+def test_report_header_only_csv_is_empty(tmp_path, capsys):
+    csv_path = tmp_path / "empty.csv"
+    csv_path.write_text(_HEADER)
+    rc = run_cli(["report", str(csv_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: cannot summarize an empty time series\n"
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from bicopterlab.estimator import (
     params_from_theta,
     regressor,
 )
-from bicopterlab.model import PlantParams, plant_deriv
+from bicopterlab.model import PlantParams, extended_deriv
 from bicopterlab.sim import rk4_step
 
 CFG = EstimatorConfig()
@@ -21,6 +21,11 @@ CFG = EstimatorConfig()
 # independently derived at 40-digit precision:
 # -6 * 0.01^0.2 - 3 * 0.01^1.2 = -2.400586238437588422...
 TWO_POWER_RATE = -2.4005862384375884
+
+
+def plant_deriv(x, u, p: PlantParams) -> tuple:
+    """The 6-state plant rates: rows 1-6 of the extended model at chi7 = u1."""
+    return extended_deriv((*x, u[0], 0.0), (0.0, u[1]), p)[0:6]
 
 
 def test_config_invariants():

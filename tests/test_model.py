@@ -1,13 +1,32 @@
 """Plant and extended-plant dynamics."""
 
+from math import cos, sin
+
 import numpy as np
 import pytest
 
 from bicopterlab.errors import ValidationError
-from bicopterlab.model import PlantParams, extended_deriv, plant_deriv
+from bicopterlab.model import PlantParams, extended_deriv
 from bicopterlab.sim import rk4_step
 
 P = PlantParams()
+
+
+def plant_deriv(x, u, p: PlantParams) -> tuple:
+    """Reference 6-state rigid-body dynamics, written apart from extended_deriv.
+
+    Thrust u1 acts along the body vertical axis, tilted by theta = x3;
+    torque u2 drives the roll acceleration directly.
+    """
+    s3, c3 = sin(x[2]), cos(x[2])
+    return (
+        x[3],
+        x[4],
+        x[5],
+        -u[0] * s3 / p.m,
+        -p.g + u[0] * c3 / p.m,
+        u[1] / p.J,
+    )
 
 
 def test_params_validation():

@@ -183,12 +183,24 @@ def test_simulate_reports_abort_step():
         simulate(cfg)
 
 
+def _assert_float64_block(ts, n):
+    assert isinstance(ts.rows, np.ndarray)
+    assert ts.rows.dtype == np.float64 and ts.rows.flags.c_contiguous
+    assert ts.rows.shape == (n, len(COLUMNS))
+
+
 def test_log_decimation_and_columns():
     cfg = replace(KNOWN, t_end=0.1, log_every=10)
     ts = simulate(cfg)
-    assert len(ts.rows) == 11  # t = 0 plus every 10th of 100 steps
+    _assert_float64_block(ts, 11)  # t = 0 plus every 10th of 100 steps
     assert ts.column("t")[1] == pytest.approx(0.01)
-    assert all(len(row) == len(COLUMNS) for row in ts.rows)
+
+
+def test_column_is_a_copy():
+    ts = simulate(replace(KNOWN, t_end=0.05, log_every=5))
+    t = ts.column("t")
+    t[:] = -1.0
+    assert ts.rows[0, 0] == 0.0 and ts.column("t")[-1] == pytest.approx(0.05)
 
 
 def test_csv_round_trip(tmp_path):
@@ -197,7 +209,8 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "run.csv"
     ts.to_csv(path)
     back = TimeSeries.from_csv(path)
-    assert back.rows == [tuple(r) for r in ts.rows]
+    _assert_float64_block(back, 11)
+    assert back.rows.tobytes() == ts.rows.tobytes()
 
 
 def test_logged_xi_follows_linear_model():
@@ -230,18 +243,11 @@ def test_adaptive_estimate_error_monotone():
 
 
 def _series_with(pos_err, theta_err, dt=0.1):
-    ts = TimeSeries()
-    i_pe1 = COLUMNS.index("pos_err1")
-    i_pe2 = COLUMNS.index("pos_err2")
-    i_te = COLUMNS.index("theta_err_norm")
-    for k, (pe, te) in enumerate(zip(pos_err, theta_err)):
-        row = [0.0] * len(COLUMNS)
-        row[0] = k * dt
-        row[i_pe1] = pe
-        row[i_pe2] = 0.0
-        row[i_te] = te
-        ts.rows.append(tuple(row))
-    return ts
+    rows = np.zeros((len(pos_err), len(COLUMNS)))
+    rows[:, COLUMNS.index("t")] = np.arange(len(pos_err)) * dt
+    rows[:, COLUMNS.index("pos_err1")] = pos_err
+    rows[:, COLUMNS.index("theta_err_norm")] = theta_err
+    return TimeSeries(rows=rows)
 
 
 def test_summarize_zero_error():
