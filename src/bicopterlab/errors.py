@@ -26,13 +26,10 @@ class EmptySeries(BicopterError):
 
 
 class ParseError(BicopterError):
-    """A config document could not be parsed; carries the offending line."""
+    """A config document or telemetry CSV could not be parsed; the message names the line."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+    def __init__(self, message: str, line_no: int):
+        super().__init__(f"line {line_no}: {message}")
 
 
 class ValidationError(BicopterError):

@@ -32,7 +32,7 @@ forgetting-factor data accumulators (xbar, phibar), and the estimate
 follows a two-power gradient flow on the residual Xi, whose fractional
 exponent drives the error to zero in finite time while the >1 exponent
 keeps the far-field rate high. The flow is non-Lipschitz at Xi = 0; a dead
-zone of radius eps stops the update once the residual is at
+zone of radius DEAD_ZONE stops the update once the residual is at
 machine-precision scale.
 """
 
@@ -51,10 +51,18 @@ __all__ = [
     "params_from_theta",
 ]
 
+# Residual norm |Xi| at or below which the flow stops: the fractional power
+# is non-Lipschitz at Xi = 0, and below this the residual is rounding noise.
+DEAD_ZONE = 1e-12
+# Least theta entry the control law inverts, so a transient estimate at or
+# below zero still gives a finite, positive m_hat and j_hat. Its limit: it
+# caps the controller's m_hat and j_hat at 1000 (kg and kg m^2).
+THETA_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Gains and constants of the finite-time estimator."""
+    """Gains and rates of the finite-time estimator; its guards are module constants."""
 
     c1: float = 6.0
     c2: float = 3.0
@@ -62,8 +70,6 @@ class EstimatorConfig:
     alpha2: float = 1.2
     forgetting: float = 80.0  # exponential forgetting factor (1/s)
     gamma: float = 10.0  # regressor filter pole (1/s)
-    eps: float = 1e-12  # residual dead zone
-    theta_floor: float = 1e-3  # lower bound on theta entries in the control path
 
     def __post_init__(self):
         for f in fields(self):
@@ -73,11 +79,9 @@ class EstimatorConfig:
             raise ValidationError("EstimatorConfig.alpha1 must lie in (0, 1)")
         if not self.alpha2 > 1.0:
             raise ValidationError("EstimatorConfig.alpha2 must be > 1")
-        for name in ("c1", "c2", "forgetting", "gamma", "theta_floor"):
+        for name in ("c1", "c2", "forgetting", "gamma"):
             if not getattr(self, name) > 0.0:
                 raise ValidationError(f"EstimatorConfig.{name} must be > 0")
-        if self.eps < 0.0:
-            raise ValidationError("EstimatorConfig.eps must be >= 0")
 
 
 def regressor(x, u, g: float) -> tuple:
@@ -143,12 +147,12 @@ def estimate_deriv(theta_hat, xbar, phibar, cfg: EstimatorConfig) -> tuple:
     xi0 = phibar[0] * theta_hat[0] - xbar[0]
     xi1 = phibar[1] * theta_hat[1] - xbar[1]
     n = (xi0 * xi0 + xi1 * xi1) ** 0.5
-    if n <= cfg.eps:
+    if n <= DEAD_ZONE:
         return (0.0, 0.0)
     gain = cfg.c1 / n ** (1.0 - cfg.alpha1) + cfg.c2 / n ** (1.0 - cfg.alpha2)
     return (-gain * xi0, -gain * xi1)
 
 
-def params_from_theta(theta_hat, floor: float) -> tuple:
-    """Invert theta = (1/m, 1/J) for the control law, floored for safety."""
-    return (1.0 / max(theta_hat[0], floor), 1.0 / max(theta_hat[1], floor))
+def params_from_theta(theta_hat) -> tuple:
+    """Invert theta = (1/m, 1/J) for the control law, each entry floored at THETA_FLOOR."""
+    return (1.0 / max(theta_hat[0], THETA_FLOOR), 1.0 / max(theta_hat[1], THETA_FLOOR))

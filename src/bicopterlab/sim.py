@@ -222,7 +222,7 @@ def _closed_loop(cfg: SimConfig) -> tuple:
     p = cfg.plant
     g = p.g
     est = cfg.est
-    gamma, forgetting, floor = est.gamma, est.forgetting, est.theta_floor
+    gamma, forgetting = est.gamma, est.forgetting
     gains = cfg.gains
     traj = cfg.traj
     ellipse = isinstance(traj, EllipseSpec)
@@ -230,7 +230,7 @@ def _closed_loop(cfg: SimConfig) -> tuple:
     m_inv, j_inv = cfg.theta_true
 
     def control(chi, theta, t):
-        m_hat, j_hat = params_from_theta(theta, floor)
+        m_hat, j_hat = params_from_theta(theta)
         xi = xi_of_chi(chi, m_hat, g)
         des = ellipse_ref(t, traj) if ellipse else hilbert_ref(t, traj)
         v = tracking_v(xi, des, gains)
@@ -277,18 +277,15 @@ def simulate(cfg: SimConfig) -> TimeSeries:
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
     buf = array("d")
+    i = 0
     try:
         buf.extend(record(y, 0.0))
-    except _ABORTS as exc:
-        raise _aborted(exc, 0, 0.0) from exc
-    for i in range(n_steps):
-        t = i * dt
-        try:
-            y = rk4_step(y, t, dt, deriv)
+        for i in range(n_steps):
+            y = rk4_step(y, i * dt, dt, deriv)
             if (i + 1) % cfg.log_every == 0 or i + 1 == n_steps:
                 buf.extend(record(y, (i + 1) * dt))
-        except _ABORTS as exc:
-            raise _aborted(exc, i, t) from exc
+    except _ABORTS as exc:
+        raise _aborted(exc, i, i * dt) from exc
     return TimeSeries(rows=_block(buf))
 
 

@@ -251,6 +251,19 @@ def test_verify_too_fine_a_step_names_the_oracle(tmp_path, capsys):
     assert "sim.dt" in err and "t_end" not in err
 
 
+def test_verify_too_coarse_a_step_asks_for_a_finer_one(tmp_path, capsys):
+    # A valid 10-step run whose oracle horizon, 500 intervals of 1e306 s,
+    # overflows to inf: a coarser step would only overflow further.
+    cfg_path = tmp_path / "coarse.cfg"
+    cfg_path.write_text("sim.dt = 1e306\nsim.t_end = 1e307\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: the closed-loop oracle ") and err.count("\n") == 1
+    assert "finer" in err and "sim.dt" in err
+    assert "coarser" not in err and "t_end" not in err
+
+
 _HEADER = ",".join(COLUMNS) + "\n"
 _ROW = ",".join(["0"] * len(COLUMNS)) + "\n"
 
@@ -291,7 +304,7 @@ def test_report_header_only_csv_is_empty(tmp_path, capsys):
         "sim.theta0 = nan, 10",
         "trajectory.omega = inf",
         "trajectory.phi_deg = nan",
-        "estimator.eps = nan",
+        "estimator.alpha2 = inf",  # passes the > 1 check: only the finite test catches it
         "estimator.c1 = inf",
         "trajectory.kind = hilbert\ntrajectory.size = inf",
         "trajectory.kind = hilbert\ntrajectory.seg_time = nan",
@@ -386,6 +399,18 @@ def test_non_utf8_config_ends_as_one_line_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: line 1: unknown key ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["estimator.eps", "estimator.theta_floor"])
+def test_estimator_guards_are_no_config_keys(tmp_path, capsys, key):
+    # DEAD_ZONE and THETA_FLOOR are constants of the estimator module.
+    cfg_path = tmp_path / "guard.cfg"
+    cfg_path.write_text(f"{key} = 1e-6\n")
+    rc = run_cli(["simulate", str(cfg_path), str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: line 1: unknown key '{key}'\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 _NEAR_MISS_KEYS = [

@@ -1,10 +1,14 @@
 """Regressor, filters, data matrices, and the finite-time estimate flow."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bicopterlab.errors import ValidationError
 from bicopterlab.estimator import (
+    DEAD_ZONE,
+    THETA_FLOOR,
     EstimatorConfig,
     data_matrix_deriv,
     estimate_deriv,
@@ -191,7 +195,7 @@ def test_estimate_deriv_descent_direction():
         xi = np.array(phibar) * np.array(theta) - np.array(xbar)
         dtheta = np.asarray(estimate_deriv(theta, xbar, phibar, CFG))
         inner = float(dtheta @ xi)
-        if np.linalg.norm(xi) <= CFG.eps:
+        if np.linalg.norm(xi) <= DEAD_ZONE:
             assert inner == 0.0
         else:
             assert inner < 0.0
@@ -210,12 +214,23 @@ def test_estimate_deriv_scale_invariant_direction():
 
 
 def test_estimate_deriv_dead_zone():
+    # Xi = (x, 0) has |Xi| == x exactly: sqrt(fl(x * x)) == x for normal x.
     phibar = (1.0, 1.0)
-    theta = (1e-13, 0.0)  # |Xi| below eps = 1e-12
-    assert estimate_deriv(theta, (0.0, 0.0), phibar, CFG) == (0.0, 0.0)
+    for theta in ((1e-13, 0.0), (DEAD_ZONE, 0.0)):
+        assert estimate_deriv(theta, (0.0, 0.0), phibar, CFG) == (0.0, 0.0)
+    above = math.nextafter(DEAD_ZONE, 1.0)
+    rate = estimate_deriv((above, 0.0), (0.0, 0.0), phibar, CFG)
+    assert rate[0] < 0.0 and rate[1] == 0.0
 
 
 def test_params_from_theta():
-    assert params_from_theta((1.0, 20.0), 1e-3) == (1.0, 0.05)
-    assert params_from_theta((2.0, 10.0), 1e-3) == (0.5, 0.1)
-    assert params_from_theta((-1.0, 5.0), 1e-3) == (1000.0, 0.2)
+    assert params_from_theta((1.0, 20.0)) == (1.0, 0.05)
+    assert params_from_theta((2.0, 10.0)) == (0.5, 0.1)
+    assert params_from_theta((-1.0, 5.0)) == (1000.0, 0.2)
+    # the floor's edge: at it and one ulp below, the cap; one ulp above, 1/x
+    below = math.nextafter(THETA_FLOOR, 0.0)
+    above = math.nextafter(THETA_FLOOR, 1.0)
+    cap = 1.0 / THETA_FLOOR
+    assert params_from_theta((THETA_FLOOR, below)) == (cap, cap)
+    assert params_from_theta((above, 0.5)) == (1.0 / above, 2.0)
+    assert 1.0 / above < cap
