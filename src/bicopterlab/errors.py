@@ -1,4 +1,6 @@
-"""Exception types raised by the bicopter simulation library."""
+"""Library exception types, and `check_field`: every config dataclass checks its values with it."""
+
+from math import isfinite
 
 
 class BicopterError(Exception):
@@ -34,3 +36,20 @@ class ParseError(BicopterError):
 
 class ValidationError(BicopterError):
     """A parsed value violates an invariant (e.g. a mass that is not positive)."""
+
+
+def check_field(obj, name: str, positive: bool = False, size: int | None = None) -> None:
+    """Raise ValidationError unless field `name` of `obj` is finite, and > 0 if `positive`;
+    with `size`, the field is a tuple of exactly that many entries, each checked."""
+    value = getattr(obj, name)
+    label = f"{type(obj).__name__}.{name}"
+    if size is None:
+        value = (value,)
+    elif len(value) != size:
+        raise ValidationError(f"{label} must have {size} entries")
+    else:
+        label += " entries"
+    if not all(map(isfinite, value)):
+        raise ValidationError(f"{label} must be finite")
+    if positive and not all(v > 0.0 for v in value):
+        raise ValidationError(f"{label} must be > 0")

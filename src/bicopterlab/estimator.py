@@ -37,9 +37,9 @@ machine-precision scale.
 """
 
 from dataclasses import dataclass, fields
-from math import cos, isfinite, sin
+from math import cos, sin
 
-from .errors import ValidationError
+from .errors import ValidationError, check_field
 
 __all__ = [
     "EstimatorConfig",
@@ -72,16 +72,12 @@ class EstimatorConfig:
     gamma: float = 10.0  # regressor filter pole (1/s)
 
     def __post_init__(self):
-        for f in fields(self):
-            if not isfinite(getattr(self, f.name)):
-                raise ValidationError(f"EstimatorConfig.{f.name} must be finite")
+        for f in fields(self):  # the exponents have ranges of their own
+            check_field(self, f.name, positive=f.name not in ("alpha1", "alpha2"))
         if not 0.0 < self.alpha1 < 1.0:
             raise ValidationError("EstimatorConfig.alpha1 must lie in (0, 1)")
         if not self.alpha2 > 1.0:
             raise ValidationError("EstimatorConfig.alpha2 must be > 1")
-        for name in ("c1", "c2", "forgetting", "gamma"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"EstimatorConfig.{name} must be > 0")
 
 
 def regressor(x, u, g: float) -> tuple:

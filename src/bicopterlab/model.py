@@ -22,7 +22,7 @@ the drift flows of the relative-degree oracle.
 from dataclasses import dataclass, fields
 from math import cos, isfinite, sin
 
-from .errors import NonFiniteState, ValidationError
+from .errors import NonFiniteState, check_field
 
 __all__ = [
     "PlantParams",
@@ -41,10 +41,7 @@ class PlantParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not isfinite(getattr(self, f.name)):
-                raise ValidationError(f"PlantParams.{f.name} must be finite")
-            if not getattr(self, f.name) > 0.0:
-                raise ValidationError(f"PlantParams.{f.name} must be > 0")
+            check_field(self, f.name, positive=True)
 
 
 def extended_deriv(chi, w, p: PlantParams) -> tuple:

@@ -37,6 +37,7 @@ from .errors import (
     ParseError,
     SingularThrust,
     ValidationError,
+    check_field,
 )
 from .estimator import (
     EstimatorConfig,
@@ -96,25 +97,17 @@ class SimConfig:
 
     def __post_init__(self):
         self.gains  # places the poles, which checks them
-        if not self.dt > 0.0:
-            raise ValidationError("SimConfig.dt must be > 0")
-        if not isfinite(self.t_end):
-            raise ValidationError("SimConfig.t_end must be finite")
+        check_field(self, "dt", positive=True)
+        check_field(self, "t_end")
+        check_field(self, "theta0", positive=True, size=2)
+        if self.x0 is not None:
+            check_field(self, "x0", size=6)
         if not self.t_end >= self.dt:
             raise ValidationError("SimConfig.t_end must be >= dt")
         if not self.t_end / self.dt <= MAX_STEPS:
             raise ValidationError(f"SimConfig.t_end / dt must be at most {MAX_STEPS} steps")
         if not self.log_every >= 1:
             raise ValidationError("SimConfig.log_every must be >= 1")
-        if len(self.theta0) != 2 or self.theta0[0] <= 0.0 or self.theta0[1] <= 0.0:
-            raise ValidationError("SimConfig.theta0 entries must be > 0")
-        if not all(isfinite(v) for v in self.theta0):
-            raise ValidationError("SimConfig.theta0 entries must be finite")
-        if self.x0 is not None:
-            if len(self.x0) != 6:
-                raise ValidationError("SimConfig.x0 must have 6 entries")
-            if not all(isfinite(v) for v in self.x0):
-                raise ValidationError("SimConfig.x0 entries must be finite")
 
     @cached_property
     def gains(self) -> tuple:

@@ -19,9 +19,9 @@ in a field, so it takes no part in __eq__, __hash__ or __repr__.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, isfinite, radians, sin
+from math import cos, radians, sin
 
-from .errors import ValidationError
+from .errors import check_field
 
 __all__ = [
     "EllipseSpec",
@@ -47,11 +47,7 @@ class EllipseSpec:
 
     def __post_init__(self):
         for name in ("a", "b", "phi", "omega"):
-            if not isfinite(getattr(self, name)):
-                raise ValidationError(f"EllipseSpec.{name} must be finite")
-        for name in ("a", "b", "omega"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"EllipseSpec.{name} must be > 0")
+            check_field(self, name, positive=name != "phi")
 
     @property
     def center(self) -> tuple:
@@ -109,15 +105,9 @@ class HilbertSpec:
     origin: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        for name in ("size", "seg_time"):
-            if not isfinite(getattr(self, name)):
-                raise ValidationError(f"HilbertSpec.{name} must be finite")
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"HilbertSpec.{name} must be > 0")
-        if len(self.origin) != 2:
-            raise ValidationError("HilbertSpec.origin must have 2 entries")
-        if not all(isfinite(v) for v in self.origin):
-            raise ValidationError("HilbertSpec.origin entries must be finite")
+        check_field(self, "size", positive=True)
+        check_field(self, "seg_time", positive=True)
+        check_field(self, "origin", size=2)
 
     def start(self) -> tuple:
         return hilbert_waypoints(self)[0]

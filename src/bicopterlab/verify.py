@@ -16,7 +16,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import IllConditioned, ValidationError
+from .errors import BicopterError, IllConditioned, ValidationError
 from .linearizer import beta, beta_inv, lie_relative_degree_check
 from .sim import MAX_STEPS, SimConfig, simulate
 
@@ -124,7 +124,11 @@ def _check_closed_loop_identity(cfg: SimConfig, emit) -> bool:
         plant=cfg.plant, poles=cfg.poles, dt=cfg.dt, t_end=t_end,
         adaptive=False, theta0=cfg.theta_true, log_every=every,
     )
-    worst = fourth_derivative_rel_err(simulate(run_cfg))
+    try:
+        ts = simulate(run_cfg)
+    except BicopterError as exc:  # name the oracle: the user's config asked for no such run
+        raise type(exc)(f"the closed-loop oracle at sim.dt = {cfg.dt:g} s: {exc}") from exc
+    worst = fourth_derivative_rel_err(ts)
     ok = worst < 1e-3
     emit(f"closed_loop_fourth_derivative_rel_err: {worst:.6e}")
     emit(f"closed_loop_identity_pass: {str(ok).lower()}")

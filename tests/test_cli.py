@@ -264,6 +264,38 @@ def test_verify_too_coarse_a_step_asks_for_a_finer_one(tmp_path, capsys):
     assert "coarser" not in err and "t_end" not in err
 
 
+@pytest.mark.parametrize("dt", ["1e10", "1e305"])
+def test_verify_oracle_run_abort_names_the_oracle(tmp_path, capsys, dt):
+    # A valid one-step run whose oracle horizon, 500 steps of dt, is finite:
+    # the oracle's own run diverges (at 1e305 sin meets an infinite angle).
+    cfg_path = tmp_path / "coarse.cfg"
+    cfg_path.write_text(f"sim.dt = {dt}\nsim.t_end = {dt}\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: the closed-loop oracle ") and err.count("\n") == 1
+    assert "sim.dt" in err and "t_end" not in err
+    assert "aborted at step" in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("sim.dt = inf", "SimConfig.dt must be finite"),
+        ("sim.theta0 = 1", "SimConfig.theta0 must have 2 entries"),
+        ("sim.theta0 = 1, 2, 3", "SimConfig.theta0 must have 2 entries"),
+        ("sim.theta0 = -inf, 10", "SimConfig.theta0 entries must be finite"),
+    ],
+)
+def test_simulate_names_the_faulty_key(tmp_path, capsys, line, message):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(line + "\n")
+    rc = run_cli(["simulate", str(cfg_path), str(tmp_path / "out.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 _HEADER = ",".join(COLUMNS) + "\n"
 _ROW = ",".join(["0"] * len(COLUMNS)) + "\n"
 
