@@ -19,7 +19,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 def main() -> None:
     spec = HilbertSpec()
-    cfg = SimConfig(traj=spec, t_end=30.0)
+    cfg = SimConfig(traj=spec)  # flies the whole path, 15 x seg_time
     print("Second-order Hilbert curve, 3 m square, 2 s per segment, 30 s run.")
     print("Adaptive controller, initial estimate theta_hat = (2, 10).\n")
 

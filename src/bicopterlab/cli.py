@@ -10,7 +10,7 @@ Subcommands:
 Configs are flat key-value documents, one `section.key = value` per line,
 with `#` comments; unknown keys are rejected. The key table is derived from
 the fields of the config dataclasses, and every default and every check is
-theirs. A Hilbert run without `sim.t_end` lasts as long as its path.
+theirs.
 """
 
 import argparse
@@ -44,7 +44,8 @@ def _parse_floats(raw: str) -> tuple:
 
 # field type -> parser of its raw value
 _PARSERS = {
-    float: float, int: int, bool: _parse_bool, tuple: _parse_floats, tuple | None: _parse_floats
+    float: float, float | None: float, int: int, bool: _parse_bool,
+    tuple: _parse_floats, tuple | None: _parse_floats,
 }
 
 _KINDS = {"ellipse": EllipseSpec, "hilbert": HilbertSpec}
@@ -113,8 +114,6 @@ def parse_config(text: str) -> SimConfig:
         cls, name, _ = _KEYS[key]
         kwargs[cls][name] = value
     plant, est, traj = (cls(**kwargs[cls]) for cls in owners[:3])
-    if kind == "hilbert":  # SimConfig's 20 s is sized for the ellipse
-        kwargs[SimConfig].setdefault("t_end", traj.duration)
     return SimConfig(plant=plant, est=est, traj=traj, **kwargs[SimConfig])
 
 

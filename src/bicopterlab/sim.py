@@ -89,7 +89,7 @@ class SimConfig:
     est: EstimatorConfig = EstimatorConfig()
     traj: object = EllipseSpec()
     dt: float = 1e-3
-    t_end: float = 20.0
+    t_end: float | None = None  # None: traj.duration; replace keeps a resolved value
     adaptive: bool = True
     theta0: tuple = (2.0, 10.0)
     x0: tuple | None = None  # defaults to trajectory start, at rest, level
@@ -97,6 +97,8 @@ class SimConfig:
 
     def __post_init__(self):
         self.gains  # places the poles, which checks them
+        if self.t_end is None:
+            object.__setattr__(self, "t_end", self.traj.duration)
         check_field(self, "dt", positive=True)
         check_field(self, "t_end")
         check_field(self, "theta0", positive=True, size=2)
@@ -312,12 +314,9 @@ def _first_sustained(t: np.ndarray, values: np.ndarray, tol: float) -> float:
     below = values < tol
     if not below[-1]:
         return _NOT_REACHED
-    # index of the last sample at or above tol
+    # index of the last sample at or above tol; below[-1] puts it before the end
     above = np.nonzero(~below)[0]
-    if len(above) == 0:
-        return float(t[0])
-    idx = above[-1] + 1
-    return float(t[idx]) if idx < len(t) else _NOT_REACHED
+    return float(t[above[-1] + 1 if len(above) else 0])
 
 
 def summarize(ts: TimeSeries) -> Metrics:

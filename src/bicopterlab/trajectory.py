@@ -44,6 +44,7 @@ class EllipseSpec:
     b: float = 3.0
     phi: float = radians(45.0)
     omega: float = 1.0
+    duration = 20.0  # s, the run length of a SimConfig that sets no t_end
 
     def __post_init__(self):
         for name in ("a", "b", "phi", "omega"):

@@ -17,4 +17,4 @@ def ellipse_adaptive():
 
 @pytest.fixture(scope="session")
 def hilbert_adaptive():
-    return simulate(SimConfig(traj=HilbertSpec(), t_end=30.0))
+    return simulate(SimConfig(traj=HilbertSpec()))

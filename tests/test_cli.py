@@ -76,9 +76,10 @@ def test_hilbert_kind_dispatch():
     assert cfg.traj.size == 3.0 and cfg.traj.seg_time == 2.0
     assert cfg.t_end == 30.0
     # the default length is the whole path, 15 segments; sim.t_end wins
-    assert parse_config("trajectory.kind = hilbert\ntrajectory.seg_time = 3").t_end == 45.0
+    cfg = parse_config("trajectory.kind = hilbert\ntrajectory.seg_time = 3")
+    assert cfg.t_end == 45.0 and cfg == SimConfig(traj=HilbertSpec(seg_time=3.0))
     cfg = parse_config("trajectory.kind = hilbert\ntrajectory.seg_time = 3\nsim.t_end = 7")
-    assert cfg.t_end == 7.0
+    assert cfg.t_end == 7.0 and cfg == SimConfig(traj=HilbertSpec(seg_time=3.0), t_end=7.0)
     with pytest.raises(ValidationError, match="at most 1000000 steps"):
         parse_config("trajectory.kind = hilbert\ntrajectory.seg_time = 100")
 

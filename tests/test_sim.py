@@ -24,7 +24,7 @@ from bicopterlab.sim import (
     summarize,
 )
 from bicopterlab.tracker import place_gains
-from bicopterlab.trajectory import HilbertSpec
+from bicopterlab.trajectory import EllipseSpec, HilbertSpec
 
 KNOWN = SimConfig(adaptive=False, theta0=(1.0, 20.0))
 
@@ -119,6 +119,19 @@ def test_closed_loop_deriv_equilibrium():
     assert d[8:] == [0.0, 0.0]
 
 
+def test_t_end_defaults_to_the_trajectory_duration():
+    assert SimConfig().t_end == 20.0 == EllipseSpec.duration
+    assert SimConfig(t_end=None) == SimConfig()
+    assert SimConfig(traj=HilbertSpec()).t_end == 30.0
+    assert SimConfig(traj=HilbertSpec(seg_time=3.0)).t_end == 45.0
+    assert SimConfig(traj=HilbertSpec(seg_time=3.0), t_end=7.0).t_end == 7.0
+    # replace keeps a resolved t_end; None works it out again
+    assert replace(SimConfig(), traj=HilbertSpec()).t_end == 20.0
+    assert replace(SimConfig(), traj=HilbertSpec(), t_end=None).t_end == 30.0
+    # the ellipse's duration is a class constant, not a field or config key
+    assert "duration" not in {f.name for f in fields(EllipseSpec)}
+
+
 def test_initial_state_length_follows_adaptation():
     assert len(SimConfig().initial_state()) == N_STATE
     known = SimConfig(adaptive=False).initial_state()
@@ -130,7 +143,7 @@ def test_known_kernel_is_the_adaptive_kernel_on_chi():
     # The estimator states feed nothing back into chi: on random (chi,
     # theta_hat) the known-parameter kernel gives chi's rate bit for bit.
     rng = np.random.default_rng(11)
-    adaptive = SimConfig(traj=HilbertSpec(), t_end=30.0)
+    adaptive = SimConfig(traj=HilbertSpec())
     deriv_a = _closed_loop(adaptive)[0]
     deriv_k = _closed_loop(replace(adaptive, adaptive=False))[0]
     for _ in range(50):

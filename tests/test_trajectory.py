@@ -6,7 +6,7 @@ from math import cos, radians, sin
 import numpy as np
 import pytest
 
-from bicopterlab.cli import parse_config
+from bicopterlab.cli import _KINDS, parse_config
 from bicopterlab.errors import ValidationError
 from bicopterlab.sim import SimConfig, simulate
 from bicopterlab.trajectory import (
@@ -236,10 +236,10 @@ def test_ellipse_table_matches_per_call_formula(phi_deg, omega):
 
 
 def test_built_table_leaves_spec_identity_alone():
-    for text, fresh in (
-        ("trajectory.kind = hilbert", SimConfig(traj=HilbertSpec(), t_end=30.0)),
-        ("", SimConfig(traj=EllipseSpec())),
-    ):
+    # The CLI builds the library's config for every kind, run length included.
+    cases = [("", EllipseSpec)] + [(f"trajectory.kind = {k}", cls) for k, cls in _KINDS.items()]
+    for text, cls in cases:
+        fresh = SimConfig(traj=cls())
         cfg = parse_config(text)
         simulate(replace(cfg, t_end=0.05))
         assert "_table" in vars(cfg.traj)
