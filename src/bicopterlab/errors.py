@@ -15,10 +15,6 @@ class NonFiniteState(BicopterError):
     """An integration step produced a NaN or infinite state entry."""
 
 
-class UnstablePoleRequest(BicopterError):
-    """A requested closed-loop pole has a nonnegative real part."""
-
-
 class IllConditioned(BicopterError):
     """A finite-difference stencil overflowed or lost all precision."""
 
@@ -36,6 +32,10 @@ class ParseError(BicopterError):
 
 class ValidationError(BicopterError):
     """A parsed value violates an invariant (e.g. a mass that is not positive)."""
+
+
+class UnstablePoleRequest(ValidationError):
+    """A requested closed-loop pole has a nonnegative real part."""
 
 
 def check_field(obj, name: str, positive: bool = False, size: int | None = None) -> None:

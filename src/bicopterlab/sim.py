@@ -16,12 +16,11 @@ Composite state layout (flat, N_STATE = 21 floats):
     17..18  xbar       (one entry per estimator channel)
     19..20  phibar     (diagonal; the off-diagonal is identically zero)
 
-A run without adaptation integrates only the N_KNOWN = 10 float prefix,
-chi and theta_hat: nothing it logs or feeds back reads the estimator
-states, and theta_hat stays exactly theta0. Filter states that are
-identically zero, or that only ever meet a zero row of Phi, are never
-integrated; see the estimator module for why the two parameter channels
-decouple.
+A run without adaptation integrates only chi, 8 floats: its estimate is
+the constant theta0, and nothing it logs or feeds back reads the
+estimator states. Filter states that are identically zero, or that only
+ever meet a zero row of Phi, are never integrated; see the estimator
+module for why the two parameter channels decouple.
 """
 
 from array import array
@@ -62,7 +61,6 @@ __all__ = [
 ]
 
 N_STATE = 21
-N_KNOWN = 10
 _CHI = slice(0, 8)
 _THETA = slice(8, 10)
 _FILTERS = slice(10, 17)
@@ -97,17 +95,23 @@ class SimConfig:
 
     def __post_init__(self):
         self.gains  # places the poles, which checks them
+        why = ""  # a fault of an unset t_end names the trajectory duration it took
         if self.t_end is None:
             object.__setattr__(self, "t_end", self.traj.duration)
+            why = (f"; t_end is unset, so it is the trajectory's duration, "
+                   f"{self.traj.duration_rule} = {self.t_end:g} s")
         check_field(self, "dt", positive=True)
-        check_field(self, "t_end")
+        try:
+            check_field(self, "t_end")
+        except ValidationError as exc:
+            raise ValidationError(f"{exc}{why}") from None
         check_field(self, "theta0", positive=True, size=2)
         if self.x0 is not None:
             check_field(self, "x0", size=6)
         if not self.t_end >= self.dt:
-            raise ValidationError("SimConfig.t_end must be >= dt")
+            raise ValidationError(f"SimConfig.t_end must be >= dt{why}")
         if not self.t_end / self.dt <= MAX_STEPS:
-            raise ValidationError(f"SimConfig.t_end / dt must be at most {MAX_STEPS} steps")
+            raise ValidationError(f"SimConfig.t_end / dt must be at most {MAX_STEPS} steps{why}")
         if not self.log_every >= 1:
             raise ValidationError("SimConfig.log_every must be >= 1")
 
@@ -129,8 +133,8 @@ class SimConfig:
 
         The vehicle starts at the trajectory start point, at rest and
         level, with hover thrust computed from the initial mass estimate;
-        all estimator states are zero. Without adaptation only the
-        N_KNOWN prefix is integrated.
+        all estimator states are zero. Without adaptation the state is chi
+        alone.
         """
         if self.x0 is not None:
             x = tuple(self.x0)
@@ -138,8 +142,8 @@ class SimConfig:
             sx, sy = self.traj.start()
             x = (sx, sy, 0.0, 0.0, 0.0, 0.0)
         chi7 = self.plant.g / self.theta0[0]
-        y = [*x, chi7, 0.0, *self.theta0]
-        return y + [0.0] * (N_STATE - N_KNOWN) if self.adaptive else y
+        chi = [*x, chi7, 0.0]
+        return [*chi, *self.theta0] + [0.0] * (N_STATE - _FILTERS.start) if self.adaptive else chi
 
 
 COLUMNS = (
@@ -211,8 +215,8 @@ class TimeSeries:
 def _closed_loop(cfg: SimConfig) -> tuple:
     """The run's (derivative, logged row) functions, its constants bound once.
 
-    Both evaluate the same control law. Without adaptation the derivative
-    covers only the N_KNOWN prefix, and theta_hat's rate is exactly zero.
+    Both evaluate the same control law on the reference picked once per run.
+    Without adaptation the state is chi alone and the estimate is theta0.
     """
     p = cfg.plant
     g = p.g
@@ -220,24 +224,25 @@ def _closed_loop(cfg: SimConfig) -> tuple:
     gamma, forgetting = est.gamma, est.forgetting
     gains = cfg.gains
     traj = cfg.traj
-    ellipse = isinstance(traj, EllipseSpec)
+    ref = ellipse_ref if isinstance(traj, EllipseSpec) else hilbert_ref
     adaptive = cfg.adaptive
+    theta0 = cfg.theta0
     m_inv, j_inv = cfg.theta_true
 
     def control(chi, theta, t):
         m_hat, j_hat = params_from_theta(theta)
         xi = xi_of_chi(chi, m_hat, g)
-        des = ellipse_ref(t, traj) if ellipse else hilbert_ref(t, traj)
+        des = ref(t, traj)
         v = tracking_v(xi, des, gains)
         return xi, des, v, iol_w(chi, v, m_hat, j_hat)
 
     def deriv(y, t: float) -> list:
+        if not adaptive:
+            return extended_deriv(y, control(y, theta0, t)[3], p)
         chi = y[_CHI]
         theta = y[_THETA]
         w = control(chi, theta, t)[3]
         dchi = extended_deriv(chi, w, p)
-        if not adaptive:
-            return [*dchi, 0.0, 0.0]
         x = chi[0:6]
         z = y[_FILTERS]
         xbar = y[_XBAR]
@@ -250,7 +255,7 @@ def _closed_loop(cfg: SimConfig) -> tuple:
 
     def record(y, t: float) -> tuple:
         chi = y[_CHI]
-        theta = y[_THETA]
+        theta = y[_THETA] if adaptive else theta0
         xi, des, v, w = control(chi, theta, t)
         theta_err = ((theta[0] - m_inv) ** 2 + (theta[1] - j_inv) ** 2) ** 0.5
         xd = des[0]

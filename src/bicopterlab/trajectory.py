@@ -45,6 +45,7 @@ class EllipseSpec:
     phi: float = radians(45.0)
     omega: float = 1.0
     duration = 20.0  # s, the run length of a SimConfig that sets no t_end
+    duration_rule = "EllipseSpec.duration"  # how a fault of that length names it
 
     def __post_init__(self):
         for name in ("a", "b", "phi", "omega"):
@@ -104,6 +105,7 @@ class HilbertSpec:
     size: float = 3.0
     seg_time: float = 2.0
     origin: tuple = (0.0, 0.0)
+    duration_rule = "HilbertSpec.duration = 15 * seg_time"
 
     def __post_init__(self):
         check_field(self, "size", positive=True)

@@ -279,6 +279,10 @@ def test_verify_oracle_run_abort_names_the_oracle(tmp_path, capsys, dt):
     assert "aborted at step" in err
 
 
+_UNSET = "; t_end is unset, so it is the trajectory's duration,"
+_HILBERT_RULE = f"{_UNSET} HilbertSpec.duration = 15 * seg_time"
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -286,6 +290,14 @@ def test_verify_oracle_run_abort_names_the_oracle(tmp_path, capsys, dt):
         ("sim.theta0 = 1", "SimConfig.theta0 must have 2 entries"),
         ("sim.theta0 = 1, 2, 3", "SimConfig.theta0 must have 2 entries"),
         ("sim.theta0 = -inf, 10", "SimConfig.theta0 entries must be finite"),
+        # an unset t_end is the trajectory's duration, and its faults say so
+        ("trajectory.kind = hilbert\ntrajectory.seg_time = 1e-5",
+         f"SimConfig.t_end must be >= dt{_HILBERT_RULE} = 0.00015 s"),
+        ("trajectory.kind = hilbert\ntrajectory.seg_time = 3000",
+         f"SimConfig.t_end / dt must be at most 1000000 steps{_HILBERT_RULE} = 45000 s"),
+        ("trajectory.kind = hilbert\ntrajectory.seg_time = 1e308",
+         f"SimConfig.t_end must be finite{_HILBERT_RULE} = inf s"),
+        ("sim.dt = 30", f"SimConfig.t_end must be >= dt{_UNSET} EllipseSpec.duration = 20 s"),
     ],
 )
 def test_simulate_names_the_faulty_key(tmp_path, capsys, line, message):

@@ -13,7 +13,6 @@ from bicopterlab.errors import EmptySeries, SingularThrust, UnstablePoleRequest,
 from bicopterlab.sim import (
     COLUMNS,
     MAX_STEPS,
-    N_KNOWN,
     N_STATE,
     Metrics,
     SimConfig,
@@ -114,9 +113,8 @@ def test_closed_loop_deriv_equilibrium():
     y = cfg.initial_state()
     assert y[0:8] == [3.0, 0.0, 0.0, 0.0, 0.0, 0.0, cfg.plant.m * cfg.plant.g, 0.0]
     d = _closed_loop(cfg)[0](y, 35.0)
-    assert len(y) == len(d) == N_KNOWN
-    assert np.asarray(d[0:8]) == pytest.approx(np.zeros(8), abs=1e-12)
-    assert d[8:] == [0.0, 0.0]
+    assert len(y) == len(d) == 8
+    assert np.asarray(d) == pytest.approx(np.zeros(8), abs=1e-12)
 
 
 def test_t_end_defaults_to_the_trajectory_duration():
@@ -135,27 +133,27 @@ def test_t_end_defaults_to_the_trajectory_duration():
 def test_initial_state_length_follows_adaptation():
     assert len(SimConfig().initial_state()) == N_STATE
     known = SimConfig(adaptive=False).initial_state()
-    assert len(known) == N_KNOWN
-    assert known == SimConfig().initial_state()[:N_KNOWN]
+    assert len(known) == 8
+    assert known == SimConfig().initial_state()[:8]
 
 
 def test_known_kernel_is_the_adaptive_kernel_on_chi():
-    # The estimator states feed nothing back into chi: on random (chi,
-    # theta_hat) the known-parameter kernel gives chi's rate bit for bit.
+    # The estimator states feed nothing back into chi: on random chi and a
+    # known run's theta0 the known-parameter kernel gives the adaptive
+    # kernel's chi rate bit for bit, at theta_hat = theta0.
     rng = np.random.default_rng(11)
     adaptive = SimConfig(traj=HilbertSpec())
     deriv_a = _closed_loop(adaptive)[0]
-    deriv_k = _closed_loop(replace(adaptive, adaptive=False))[0]
     for _ in range(50):
-        chi = [*rng.uniform(-2.0, 2.0, size=6), rng.uniform(2.0, 20.0), rng.normal()]
-        theta = list(rng.uniform(0.5, 30.0, size=2))
-        rest = list(rng.normal(size=N_STATE - N_KNOWN))
+        chi = [float(v) for v in (*rng.uniform(-2.0, 2.0, size=6), rng.uniform(2.0, 20.0),
+                                  rng.normal())]
+        theta = tuple(float(v) for v in rng.uniform(0.5, 30.0, size=2))
+        rest = [float(v) for v in rng.normal(size=N_STATE - 10)]
         t = float(rng.uniform(0.0, 30.0))
-        y = [float(v) for v in chi + theta]
-        want = deriv_a(y + [float(v) for v in rest], t)[0:8]
-        got = deriv_k(y, t)
-        assert [v.hex() for v in got[0:8]] == [v.hex() for v in want]
-        assert got[8:] == [0.0, 0.0]
+        want = deriv_a(chi + list(theta) + rest, t)[0:8]
+        got = _closed_loop(replace(adaptive, adaptive=False, theta0=theta))[0](chi, t)
+        assert len(got) == 8
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_known_run_keeps_theta0():
@@ -169,13 +167,10 @@ def test_known_run_keeps_theta0():
 @pytest.mark.parametrize("workload", ["ellipse_adaptive", "hilbert_adaptive", "ellipse_known_io"])
 def test_canonical_telemetry_is_byte_identical(workload, request, tmp_path):
     # The behaviour contract: the canonical runs write exactly the pinned CSV.
-    # The adaptive runs are the session fixtures the acceptance gate also reads.
-    if workload == "ellipse_known_io":
-        ts = simulate(SimConfig(adaptive=False, theta0=(1.0, 20.0), log_every=1))
-    else:
-        ts = request.getfixturevalue(workload)
+    # The runs are session fixtures, shared with the acceptance gate and the
+    # pinned CLI stdout.
     path = tmp_path / "run.csv"
-    ts.to_csv(path)
+    request.getfixturevalue(workload).to_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[workload]
 
 

@@ -44,6 +44,22 @@ def test_place_gains_rejects_unstable():
 
 
 @pytest.mark.parametrize(
+    "poles",
+    [
+        (-1.0, -2.0, -3.0),  # wrong count
+        (float("nan"), -4.0, -5.0, -5.5),  # not finite
+        (0.0, -1.0, -2.0, -3.0),  # Re >= 0
+        (-1.0 + 1.0j, -1.0 + 2.0j, -2.0, -3.0),  # unpaired complex
+        (-1e-200,) * 4,  # underflowing gain
+    ],
+)
+def test_every_pole_fault_is_a_validation_error(poles):
+    # one `except ValidationError` catches every pole place_gains rejects
+    with pytest.raises(ValidationError):
+        place_gains(poles)
+
+
+@pytest.mark.parametrize(
     "bad", [float("nan"), float("inf"), float("-inf"), complex(-1.0, float("nan")), -1e308]
 )
 def test_place_gains_rejects_non_finite(bad):
