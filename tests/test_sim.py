@@ -9,7 +9,23 @@ import numpy as np
 import pytest
 
 from bicopterlab import sim
-from bicopterlab.errors import EmptySeries, SingularThrust, UnstablePoleRequest, ValidationError
+from bicopterlab.errors import (
+    EmptySeries,
+    NonFiniteState,
+    SingularThrust,
+    UnstablePoleRequest,
+    ValidationError,
+)
+from bicopterlab.estimator import (
+    THETA_FLOOR,
+    data_matrix_deriv,
+    estimate_deriv,
+    filter_deriv,
+    filter_outputs,
+    params_from_theta,
+)
+from bicopterlab.linearizer import U_MIN, iol_w, xi_of_chi
+from bicopterlab.model import extended_deriv
 from bicopterlab.sim import (
     COLUMNS,
     MAX_STEPS,
@@ -22,8 +38,8 @@ from bicopterlab.sim import (
     simulate,
     summarize,
 )
-from bicopterlab.tracker import place_gains
-from bicopterlab.trajectory import EllipseSpec, HilbertSpec
+from bicopterlab.tracker import place_gains, tracking_v
+from bicopterlab.trajectory import EllipseSpec, HilbertSpec, ellipse_ref, hilbert_ref
 
 KNOWN = SimConfig(adaptive=False, theta0=(1.0, 20.0))
 
@@ -156,6 +172,76 @@ def test_known_kernel_is_the_adaptive_kernel_on_chi():
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+def _layered_loop(cfg):
+    """(deriv, record) of cfg assembled from the layered functions the kernel inlines."""
+    p, est, traj = cfg.plant, cfg.est, cfg.traj
+    ref = ellipse_ref if isinstance(traj, EllipseSpec) else hilbert_ref
+
+    def control(chi, theta, t):
+        m_hat, j_hat = params_from_theta(theta)
+        xi = xi_of_chi(chi, m_hat, p.g)
+        des = ref(t, traj)
+        v = tracking_v(xi, des, cfg.gains)
+        return xi, des, v, iol_w(chi, v, m_hat, j_hat)
+
+    def deriv(y, t):
+        if not cfg.adaptive:
+            return extended_deriv(y, control(y, cfg.theta0, t)[3], p)
+        chi, theta, z, xbar, phibar = y[0:8], y[8:10], y[10:17], y[17:19], y[19:21]
+        w = control(chi, theta, t)[3]
+        dz = filter_deriv(z, chi[0:6], (chi[6], w[1]), p.g, est.gamma)
+        x_f, phi_f = filter_outputs(z, chi[0:6], est.gamma)
+        dxbar, dphibar = data_matrix_deriv(xbar, phibar, x_f, phi_f, est.forgetting)
+        dtheta = estimate_deriv(theta, xbar, phibar, est)
+        return [*extended_deriv(chi, w, p), *dtheta, *dz, *dxbar, *dphibar]
+
+    def record(y, t):
+        chi = y[0:8]
+        theta = y[8:10] if cfg.adaptive else cfg.theta0
+        xi, (xd, _), v, w = control(chi, theta, t)
+        m_inv, j_inv = cfg.theta_true
+        err = ((theta[0] - m_inv) ** 2 + (theta[1] - j_inv) ** 2) ** 0.5
+        return (t, *chi[0:6], chi[6], w[1], *w, *xi, *xd, *v, *theta, err,
+                chi[0] - xd[0], chi[1] - xd[4])
+
+    return deriv, record
+
+
+def _outcome(fn, y, t):
+    """fn(y, t) as float.hex strings, or the type and message of what it raised."""
+    try:
+        return [float(v).hex() for v in fn(y, t)]
+    except SingularThrust as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(),
+    SimConfig(traj=HilbertSpec()),
+    KNOWN,
+    replace(KNOWN, traj=HilbertSpec(), theta0=(THETA_FLOOR, 0.5 * THETA_FLOOR)),
+], ids=["ellipse_adaptive", "hilbert_adaptive", "ellipse_known", "hilbert_known_floored"])
+def test_kernel_matches_the_layered_functions(cfg):
+    # The kernel inlines the layered functions; on random states it must
+    # give their derivative and logged row bit for bit, and their abort
+    # below U_MIN. Theta entries at and below THETA_FLOOR, a NaN entry and
+    # the dead zone's zero start state are included.
+    rng = np.random.default_rng(16)
+    kernel, layered = _closed_loop(cfg), _layered_loop(cfg)
+    thetas = [(THETA_FLOOR, 1.0), (0.5 * THETA_FLOOR, THETA_FLOOR), (-0.3, 0.0), (2.0, -5.0),
+              (float("nan"), 3.0)]
+    for i in range(200):
+        chi = [float(v) for v in rng.normal(scale=2.0, size=8)]
+        thrust = U_MIN * rng.uniform(0.0, 1.0) if i % 20 == 1 else rng.uniform(U_MIN, 25.0)
+        chi[6] = float(rng.choice([-1.0, 1.0]) * thrust)
+        theta = thetas[i] if i < len(thetas) else tuple(rng.uniform(-1.0, 40.0, size=2))
+        rest = [0.0] * 11 if i % 10 == 0 else [float(v) for v in rng.normal(size=11)]
+        y = chi + [float(v) for v in theta] + rest if cfg.adaptive else chi
+        t = float(rng.uniform(0.0, cfg.t_end + 5.0))
+        for got, want in zip(kernel, layered):
+            assert _outcome(got, y, t) == _outcome(want, y, t)
+
+
 def test_known_run_keeps_theta0():
     cfg = replace(KNOWN, theta0=(1.25, 17.5), t_end=1.0)
     ts = simulate(cfg)
@@ -185,10 +271,20 @@ def test_simulate_known_params_tracks():
 
 def test_simulate_reports_abort_step():
     # An absurd initial mass estimate yields sub-guard hover thrust and the
-    # run must abort immediately, naming the step.
-    cfg = SimConfig(theta0=(200.0, 10.0), t_end=1.0)
-    with pytest.raises(SingularThrust, match="aborted at step 0"):
-        simulate(cfg)
+    # run must abort immediately, naming the step; a coarse step diverges
+    # and ends in the estimate flow's division. The messages are the ones
+    # the layered law gave, word for word.
+    singular = "aborted at step 0 (t = 0 s): |chi7| = 0.04905 < u_min = 0.1"
+    cases = (
+        (SimConfig(theta0=(200.0, 10.0), t_end=1.0), SingularThrust, singular),
+        (SimConfig(theta0=(200.0, 10.0), t_end=1.0, adaptive=False), SingularThrust, singular),
+        (SimConfig(dt=0.2, t_end=4.0), NonFiniteState,
+         "aborted at step 2 (t = 0.4 s): ZeroDivisionError: float division by zero"),
+    )
+    for cfg, kind, message in cases:
+        with pytest.raises(kind) as info:
+            simulate(cfg)
+        assert type(info.value) is kind and str(info.value) == message
 
 
 def _assert_float64_block(ts, n):
@@ -248,6 +344,22 @@ def test_adaptive_estimate_error_monotone():
     te = ts.column("theta_err_norm")
     after = te[t >= 0.5]
     assert np.all(np.diff(after) <= 1e-9)
+
+
+def test_estimate_band_scales_as_dt_to_the_1_25():
+    # Fixed-step RK4 parks the 1/m residual of the non-Lipschitz flow in a
+    # band where gain * phibar * dt is of the order of RK4's stability
+    # limit; the gain grows as |Xi|^-0.8, so the band scales as
+    # dt^(1 / (1 - alpha1)) = dt^1.25. All three runs log at the same times.
+    bands, times = [], []
+    for dt, log_every in ((1e-3, 10), (5e-4, 20), (2.5e-4, 40)):
+        ts = simulate(SimConfig(t_end=6.0, dt=dt, log_every=log_every))
+        t = ts.column("t")
+        times.append(t)
+        bands.append(np.abs(ts.column("theta_hat1") - 1.0)[t >= 3.0].max())
+    assert np.allclose(times[0], times[1]) and np.allclose(times[0], times[2])
+    for coarse, fine in zip(bands, bands[1:]):
+        assert coarse / fine == pytest.approx(2.0 ** 1.25, rel=0.05)
 
 
 def _series_with(pos_err, theta_err, dt=0.1):
