@@ -33,7 +33,7 @@ kernel's oracle, read by the tests, `verify` and the acceptance gate.
 from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from math import cos, isfinite, sin
+from math import cos, inf, isfinite, sin
 
 import numpy as np
 
@@ -90,7 +90,11 @@ RMSE_T_START = 3.0  # s
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of one deterministic experiment."""
+    """Full description of one deterministic experiment.
+
+    An unset `t_end` takes the trajectory's duration once, when built; so
+    `replace(cfg, traj=..., t_end=None)` takes the new trajectory's.
+    """
 
     plant: PlantParams = PlantParams()
     poles: tuple = (-4.5, -4.0, -5.0, -5.5)
@@ -124,6 +128,8 @@ class SimConfig:
             raise ValidationError(f"SimConfig.t_end / dt must be at most {MAX_STEPS} steps{why}")
         if not self.log_every >= 1:
             raise ValidationError("SimConfig.log_every must be >= 1")
+        if self.log_every % 1 != 0:  # inf % 1 is nan
+            raise ValidationError("SimConfig.log_every must be a whole number")
 
     @cached_property
     def gains(self) -> tuple:
@@ -359,10 +365,14 @@ def summarize(ts: TimeSeries) -> Metrics:
     if len(ts.rows) == 0:
         raise EmptySeries("cannot summarize an empty time series")
     t = ts.column("t")
-    pos_err = np.hypot(ts.column("pos_err1"), ts.column("pos_err2"))
     theta_err = ts.column("theta_err_norm")
-    window = t >= min(RMSE_T_START, t[-1])
-    rmse = float(np.sqrt(np.mean(pos_err[window] ** 2)))
+    with np.errstate(over="ignore"):  # an error off the float range reads inf
+        pos_err = np.hypot(ts.column("pos_err1"), ts.column("pos_err2"))
+        window = pos_err[t >= min(RMSE_T_START, t[-1])]
+        rmse = float(np.sqrt(np.mean(window ** 2)))
+        top = window.max()
+        if rmse == inf and top < inf:  # the squares overflowed: rescale them
+            rmse = float(top * np.sqrt(np.mean((window / top) ** 2)))
     return Metrics(
         pos_rmse=rmse,
         settle_time=_first_sustained(t, pos_err, SETTLE_POS_TOL),

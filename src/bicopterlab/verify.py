@@ -10,6 +10,10 @@ a computation that does not share its code path:
      the logged output 4th derivative must match the logged virtual input.
      The oracle flies its own run, the default ellipse on its own uniform
      log grid, so of the config it reads only the plant, the poles and dt.
+
+Only this module draws random numbers, and it loads `numpy.random` on its
+first call (no annotation names it), so `simulate`, `report` and `gains`
+never load it.
 """
 
 from math import isfinite
@@ -34,7 +38,7 @@ RELATIVE_DEGREE_STATES = 5
 BETA_INVERSE_STATES = 1000
 
 
-def _random_chi(rng: np.random.Generator, chi7_lo: float = 1.0):
+def _random_chi(rng, chi7_lo: float = 1.0):
     chi = rng.uniform(-2.0, 2.0, size=8)
     chi[6] = rng.uniform(chi7_lo, 20.0) * rng.choice((-1.0, 1.0))
     return chi

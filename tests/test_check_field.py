@@ -60,8 +60,9 @@ def _cases():
         for bad in (valid[:-1], valid + (1.0,)):
             message = f"{label} must have {len(valid)} entries"
             yield pytest.param(cls, name, bad, message, id=f"{label} of {len(bad)}")
-    for value in (0, -1):
-        message = "SimConfig.log_every must be >= 1"
+    whole = "a whole number"
+    for value, suffix in ((0, ">= 1"), (-1, ">= 1"), (nan, ">= 1"), (2.5, whole), (inf, whole)):
+        message = f"SimConfig.log_every must be {suffix}"
         yield pytest.param(SimConfig, "log_every", value, message, id=f"SimConfig.log_every={value}")
 
 

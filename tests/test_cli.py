@@ -1,7 +1,10 @@
 """Config parsing and the command-line entry points."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -199,6 +202,35 @@ def test_verify_dense_log_passes(tmp_path, capsys):
     assert "closed_loop_identity_pass: true" in out
 
 
+# Runs each command in one fresh interpreter and prints, after each, whether
+# numpy.random is loaded; the first word says whether numpy loads it itself.
+_FOOTPRINT = """
+import io, sys
+from contextlib import redirect_stdout
+import numpy
+print("numpy.random" in sys.modules, end="")
+from bicopterlab.cli import run_cli
+cfg, csv = sys.argv[1:]
+for argv in (["simulate", cfg, csv], ["report", csv], ["gains", "-4.5", "-4", "-5", "-5.5"], ["verify"]):
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(argv) == 0, argv
+    print("", "numpy.random" in sys.modules, end="")
+"""
+
+
+def test_only_verify_loads_numpy_random(tmp_path):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("sim.t_end = 0.05\n")
+    src = str(Path(bicopterlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", _FOOTPRINT, str(cfg), str(tmp_path / "run.csv")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    if out.startswith("True"):
+        pytest.skip("this numpy loads numpy.random on its own import")
+    # simulate, report and gains draw nothing; verify seeds its generators on first use
+    assert out == "False False False False True"
+
+
 # Keys outside the plant, the poles and sim.dt, each set off its default
 _KEYS_VERIFY_IGNORES = """\
 trajectory.kind = hilbert
@@ -339,6 +371,20 @@ def test_report_header_only_csv_is_empty(tmp_path, capsys):
     rc = run_cli(["report", str(csv_path)])
     assert rc == 1
     assert capsys.readouterr().err == "error: cannot summarize an empty time series\n"
+
+
+@pytest.mark.parametrize(
+    "err, want", [(1e160, float(np.hypot(1e160, 1e160))), (1.5e308, float("inf"))]
+)
+def test_report_on_huge_errors_does_not_overflow(tmp_path, capsys, err, want):
+    # The squares of the first overflow, its RMSE does not; the second's does.
+    at = {COLUMNS.index("pos_err1"): err, COLUMNS.index("pos_err2"): err}
+    rows = [[at.get(j, float(i)) for j in range(len(COLUMNS))] for i in range(5)]
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text(_HEADER + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    assert run_cli(["report", str(csv_path)]) == 0
+    out, stderr = capsys.readouterr()
+    assert out.splitlines()[0] == f"pos_rmse: {want:.17g}" and stderr == ""
 
 
 @pytest.mark.parametrize(

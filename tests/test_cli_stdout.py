@@ -78,7 +78,7 @@ max_torque: 1.9551754780514878
 )
 def test_stdout_is_pinned(argv, want, capsys):
     assert run_cli(argv) == 0
-    assert capsys.readouterr().out == want
+    assert capsys.readouterr() == (want, "")
 
 
 @pytest.mark.parametrize("workload", list(SIMULATE))
@@ -94,4 +94,4 @@ def test_simulate_stdout_is_pinned(workload, request, monkeypatch, tmp_path, cap
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(text)
     assert run_cli(["simulate", str(cfg_path), str(tmp_path / "run.csv")]) == 0
-    assert capsys.readouterr().out == want
+    assert capsys.readouterr() == (want, "")
