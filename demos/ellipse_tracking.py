@@ -36,7 +36,7 @@ def main() -> None:
     print("Tilted ellipse (a=5 m, b=3 m, 45 deg, omega=1 rad/s), 20 s runs.\n")
 
     # Controller knows m = 1 kg, J = 0.05 kg m^2 exactly.
-    run("known", SimConfig(adaptive=False, theta0=(1.0, 20.0)))
+    run("known", SimConfig(adaptive=False))
 
     # Controller starts believing the vehicle is half as heavy and twice
     # as agile (theta_hat = (2, 10)); the estimator corrects it online.

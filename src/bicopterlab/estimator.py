@@ -55,8 +55,9 @@ __all__ = [
 # enters it: fixed-step RK4 parks |Xi| in a band ~dt^1.25, ~1e5 times wider.
 DEAD_ZONE = 1e-12
 # Least theta entry the control law inverts, so a transient estimate at or
-# below zero still gives a finite, positive m_hat and j_hat. Its limit: it
-# caps the controller's m_hat and j_hat at 1000 (kg and kg m^2).
+# below zero still gives a finite, positive m_hat and j_hat. Its limit: it caps
+# the controller's m_hat and j_hat at 1000 (kg and kg m^2), in a known run too,
+# so verify's closed-loop check fails on plant.j = 2000 (rel err 1.5e+01).
 THETA_FLOOR = 1e-3
 
 

@@ -89,7 +89,7 @@ def iol_w(chi, v, m: float, j: float) -> tuple:
     s3, c3 = sin(chi[2]), cos(chi[2])
     a1, a2 = alpha(chi, m)
     r1, r2 = v[0] - a1, v[1] - a2
-    # Rows of beta_inv applied to (v - alpha), inlined for the hot loop.
+    # Rows of beta_inv applied to (v - alpha); sim._closed_loop inlines them.
     return (
         -m * s3 * r1 + m * c3 * r2,
         -(j * m / x7) * (c3 * r1 + s3 * r2),

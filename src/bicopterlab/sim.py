@@ -16,10 +16,10 @@ Composite state layout (flat, N_STATE = 21 floats):
     17..18  xbar       (one entry per estimator channel)
     19..20  phibar     (diagonal; the off-diagonal is identically zero)
 
-A run without adaptation integrates only chi, 8 floats: its estimate is
-the constant theta0, and nothing it logs or feeds back reads the
-estimator states. Filter states that are identically zero, or that only
-ever meet a zero row of Phi, are never integrated; see the estimator
+A run without adaptation integrates only chi, 8 floats: its controller holds
+the plant's own parameters, theta_true, and nothing it logs or feeds back
+reads the estimator states. Filter states that are identically zero, or that
+only ever meet a zero row of Phi, are never integrated; see the estimator
 module for why the two parameter channels decouple.
 
 The derivative and the logged row are one kernel, `_closed_loop`. It
@@ -94,6 +94,7 @@ class SimConfig:
 
     An unset `t_end` takes the trajectory's duration once, when built; so
     `replace(cfg, traj=..., t_end=None)` takes the new trajectory's.
+    `theta0` seeds only an adaptive run's estimate; a known run flies `theta_true`.
     """
 
     plant: PlantParams = PlantParams()
@@ -148,18 +149,18 @@ class SimConfig:
         """Flat composite state at t = 0.
 
         The vehicle starts at the trajectory start point, at rest and
-        level, with hover thrust computed from the initial mass estimate;
-        all estimator states are zero. Without adaptation the state is chi
-        alone.
+        level, with hover thrust computed from the initial mass estimate
+        (the true mass without adaptation); all estimator states are zero.
+        Without adaptation the state is chi alone.
         """
         if self.x0 is not None:
             x = tuple(self.x0)
         else:
             sx, sy = self.traj.start()
             x = (sx, sy, 0.0, 0.0, 0.0, 0.0)
-        chi7 = self.plant.g / self.theta0[0]
-        chi = [*x, chi7, 0.0]
-        return [*chi, *self.theta0] + [0.0] * (N_STATE - _FILTERS.start) if self.adaptive else chi
+        theta = self.theta0 if self.adaptive else self.theta_true
+        chi = [*x, self.plant.g / theta[0], 0.0]
+        return [*chi, *theta] + [0.0] * (N_STATE - _FILTERS.start) if self.adaptive else chi
 
 
 COLUMNS = (
@@ -235,7 +236,7 @@ def _closed_loop(cfg: SimConfig) -> tuple:
     feeds the plant and the regressor. Each float operation keeps the order
     and grouping of the layered function it inlines (the module docstring
     lists them, and the calls kept), so the rows are theirs bit for bit. A
-    known run inverts theta0 once, here.
+    known run inverts theta_true once, here.
     """
     g, pm, pj = cfg.plant.g, cfg.plant.m, cfg.plant.J
     est = cfg.est
@@ -243,9 +244,9 @@ def _closed_loop(cfg: SimConfig) -> tuple:
     k0, k1, k2, k3 = cfg.gains
     traj = cfg.traj
     ref = ellipse_ref if isinstance(traj, EllipseSpec) else hilbert_ref
-    adaptive, theta0 = cfg.adaptive, cfg.theta0
-    m0, j0 = params_from_theta(theta0)
-    m_inv, j_inv = cfg.theta_true
+    adaptive, theta_true = cfg.adaptive, cfg.theta_true
+    m0, j0 = params_from_theta(theta_true)
+    m_inv, j_inv = theta_true
 
     def law(chi, m, j, t):
         """(w1, w2, sin, cos of chi[2], xi, xd, v1, v2) at the estimates m and j."""
@@ -291,7 +292,7 @@ def _closed_loop(cfg: SimConfig) -> tuple:
 
     def record(y, t: float) -> tuple:
         chi = y[_CHI]
-        theta = y[_THETA] if adaptive else theta0
+        theta = y[_THETA] if adaptive else theta_true
         m, j = params_from_theta(theta) if adaptive else (m0, j0)
         w1, w2, _, _, xi, xd, v1, v2 = law(chi, m, j, t)
         theta_err = ((theta[0] - m_inv) ** 2 + (theta[1] - j_inv) ** 2) ** 0.5
@@ -332,9 +333,6 @@ def _aborted(exc: Exception, i: int, t: float) -> Exception:
     return type(exc)(f"aborted at step {i} (t = {t:g} s): {exc}")
 
 
-_NOT_REACHED = float("inf")
-
-
 @dataclass
 class Metrics:
     """Summary numbers of one run; inf marks a threshold never reached."""
@@ -354,7 +352,7 @@ def _first_sustained(t: np.ndarray, values: np.ndarray, tol: float) -> float:
     """Earliest logged time after which `values` stays below tol."""
     below = values < tol
     if not below[-1]:
-        return _NOT_REACHED
+        return inf
     # index of the last sample at or above tol; below[-1] puts it before the end
     above = np.nonzero(~below)[0]
     return float(t[above[-1] + 1 if len(above) else 0])

@@ -185,6 +185,18 @@ def test_simulate_and_report_agree(tmp_path, capsys):
     assert len(header.split(",")) == 34
 
 
+def test_known_run_needs_no_theta0_key(tmp_path, capsys):
+    # A known run flies the plant's own parameters: sim.theta0 changes nothing.
+    runs = []
+    for text in ("sim.adaptive = false\n", "sim.adaptive = false\nsim.theta0 = 1, 20\n"):
+        cfg_path, out_path = tmp_path / "known.cfg", tmp_path / "run.csv"
+        cfg_path.write_text(text)
+        assert run_cli(["simulate", str(cfg_path), str(out_path)]) == 0
+        runs.append((capsys.readouterr().out, out_path.read_bytes()))
+    assert runs[0] == runs[1]
+    assert "settle_time: 1.84" in runs[0][0]
+
+
 def test_verify_command(capsys):
     rc = run_cli(["verify"])
     out = capsys.readouterr().out

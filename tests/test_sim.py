@@ -25,7 +25,7 @@ from bicopterlab.estimator import (
     params_from_theta,
 )
 from bicopterlab.linearizer import U_MIN, iol_w, xi_of_chi
-from bicopterlab.model import extended_deriv
+from bicopterlab.model import PlantParams, extended_deriv
 from bicopterlab.sim import (
     COLUMNS,
     MAX_STEPS,
@@ -148,26 +148,29 @@ def test_t_end_defaults_to_the_trajectory_duration():
 
 def test_initial_state_length_follows_adaptation():
     assert len(SimConfig().initial_state()) == N_STATE
-    known = SimConfig(adaptive=False).initial_state()
+    # a known run starts at the hover thrust of the plant's own mass, not theta0's
+    plant = PlantParams(m=1.5)
+    adaptive = SimConfig(plant=plant).initial_state()
+    known = SimConfig(plant=plant, adaptive=False).initial_state()
     assert len(known) == 8
-    assert known == SimConfig().initial_state()[:8]
+    assert adaptive[6] == plant.g / 2.0
+    assert known == adaptive[:6] + [plant.g / (1.0 / 1.5), 0.0]
 
 
 def test_known_kernel_is_the_adaptive_kernel_on_chi():
-    # The estimator states feed nothing back into chi: on random chi and a
-    # known run's theta0 the known-parameter kernel gives the adaptive
-    # kernel's chi rate bit for bit, at theta_hat = theta0.
+    # The estimator states feed nothing back into chi: on random chi and
+    # random plants the known-parameter kernel gives the adaptive kernel's
+    # chi rate bit for bit, at theta_hat = theta_true.
     rng = np.random.default_rng(11)
-    adaptive = SimConfig(traj=HilbertSpec())
-    deriv_a = _closed_loop(adaptive)[0]
     for _ in range(50):
+        m, j = (float(v) for v in 1.0 / rng.uniform(0.5, 30.0, size=2))
+        adaptive = SimConfig(plant=PlantParams(m=m, J=j), traj=HilbertSpec())
         chi = [float(v) for v in (*rng.uniform(-2.0, 2.0, size=6), rng.uniform(2.0, 20.0),
                                   rng.normal())]
-        theta = tuple(float(v) for v in rng.uniform(0.5, 30.0, size=2))
         rest = [float(v) for v in rng.normal(size=N_STATE - 10)]
         t = float(rng.uniform(0.0, 30.0))
-        want = deriv_a(chi + list(theta) + rest, t)[0:8]
-        got = _closed_loop(replace(adaptive, adaptive=False, theta0=theta))[0](chi, t)
+        want = _closed_loop(adaptive)[0](chi + list(adaptive.theta_true) + rest, t)[0:8]
+        got = _closed_loop(replace(adaptive, adaptive=False))[0](chi, t)
         assert len(got) == 8
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -186,7 +189,7 @@ def _layered_loop(cfg):
 
     def deriv(y, t):
         if not cfg.adaptive:
-            return extended_deriv(y, control(y, cfg.theta0, t)[3], p)
+            return extended_deriv(y, control(y, cfg.theta_true, t)[3], p)
         chi, theta, z, xbar, phibar = y[0:8], y[8:10], y[10:17], y[17:19], y[19:21]
         w = control(chi, theta, t)[3]
         dz = filter_deriv(z, chi[0:6], (chi[6], w[1]), p.g, est.gamma)
@@ -197,7 +200,7 @@ def _layered_loop(cfg):
 
     def record(y, t):
         chi = y[0:8]
-        theta = y[8:10] if cfg.adaptive else cfg.theta0
+        theta = y[8:10] if cfg.adaptive else cfg.theta_true
         xi, (xd, _), v, w = control(chi, theta, t)
         m_inv, j_inv = cfg.theta_true
         err = ((theta[0] - m_inv) ** 2 + (theta[1] - j_inv) ** 2) ** 0.5
@@ -219,7 +222,7 @@ def _outcome(fn, y, t):
     SimConfig(),
     SimConfig(traj=HilbertSpec()),
     KNOWN,
-    replace(KNOWN, traj=HilbertSpec(), theta0=(THETA_FLOOR, 0.5 * THETA_FLOOR)),
+    replace(KNOWN, traj=HilbertSpec(), plant=PlantParams(m=1.0 / THETA_FLOOR, J=2.0 / THETA_FLOOR)),
 ], ids=["ellipse_adaptive", "hilbert_adaptive", "ellipse_known", "hilbert_known_floored"])
 def test_kernel_matches_the_layered_functions(cfg):
     # The kernel inlines the layered functions; on random states it must
@@ -242,12 +245,20 @@ def test_kernel_matches_the_layered_functions(cfg):
             assert _outcome(got, y, t) == _outcome(want, y, t)
 
 
-def test_known_run_keeps_theta0():
-    cfg = replace(KNOWN, theta0=(1.25, 17.5), t_end=1.0)
+def test_known_run_logs_theta_true():
+    cfg = replace(KNOWN, plant=PlantParams(m=0.8, J=0.04), theta0=(1.25, 17.5), t_end=1.0)
     ts = simulate(cfg)
     assert len(ts.rows) == 101
-    for name, want in zip(("theta_hat1", "theta_hat2"), cfg.theta0):
+    for name, want in zip(("theta_hat1", "theta_hat2"), cfg.theta_true):
         assert all(v == want for v in ts.column(name))
+    assert not ts.column("theta_err_norm").any()
+
+
+def test_known_run_needs_no_theta0(ellipse_known_io):
+    # theta0 seeds only the estimate of an adaptive run; the default (2, 10)
+    # flies the canonical known run row for row
+    ts = simulate(SimConfig(adaptive=False, log_every=1))
+    assert ts.rows.tobytes() == ellipse_known_io.rows.tobytes()
 
 
 @pytest.mark.parametrize("workload", ["ellipse_adaptive", "hilbert_adaptive", "ellipse_known_io"])
@@ -261,23 +272,24 @@ def test_canonical_telemetry_is_byte_identical(workload, request, tmp_path):
 
 
 def test_simulate_known_params_tracks():
-    cfg = replace(KNOWN, t_end=6.0)
-    ts = simulate(cfg)
-    met = summarize(ts)
-    assert met.pos_rmse < 1e-2
-    assert met.settle_time < 2.0
-    assert np.isfinite(met.max_thrust) and np.isfinite(met.max_torque)
+    # KNOWN's theta0 = (1, 20) is the default plant's theta_true, not the heavier one's
+    for plant in (PlantParams(), PlantParams(m=1.5, J=0.08)):
+        met = summarize(simulate(replace(KNOWN, plant=plant, t_end=6.0)))
+        assert met.pos_rmse < 1e-2
+        assert met.settle_time < 2.0
+        assert np.isfinite(met.max_thrust) and np.isfinite(met.max_torque)
 
 
 def test_simulate_reports_abort_step():
-    # An absurd initial mass estimate yields sub-guard hover thrust and the
-    # run must abort immediately, naming the step; a coarse step diverges
-    # and ends in the estimate flow's division. The messages are the ones
-    # the layered law gave, word for word.
+    # An absurd initial mass estimate, or a known plant as light, yields
+    # sub-guard hover thrust and the run must abort immediately, naming the
+    # step; a coarse step diverges and ends in the estimate flow's division.
+    # The messages are the ones the layered law gave, word for word.
     singular = "aborted at step 0 (t = 0 s): |chi7| = 0.04905 < u_min = 0.1"
     cases = (
         (SimConfig(theta0=(200.0, 10.0), t_end=1.0), SingularThrust, singular),
-        (SimConfig(theta0=(200.0, 10.0), t_end=1.0, adaptive=False), SingularThrust, singular),
+        (SimConfig(plant=PlantParams(m=0.005), t_end=1.0, adaptive=False), SingularThrust,
+         singular),
         (SimConfig(dt=0.2, t_end=4.0), NonFiniteState,
          "aborted at step 2 (t = 0.4 s): ZeroDivisionError: float division by zero"),
     )
