@@ -186,6 +186,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv) -> int:
     parser = _build_parser()
+    if list(argv[:1]) == ["gains"] and not {"-h", "--help", "--"} & set(argv):
+        argv = ["gains", "--", *argv[1:]]  # its only option is -h: argparse reads -4.5e0 as a flag
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

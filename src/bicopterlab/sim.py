@@ -362,10 +362,12 @@ def summarize(ts: TimeSeries) -> Metrics:
     """Compute the summary metrics of a logged run."""
     if len(ts.rows) == 0:
         raise EmptySeries("cannot summarize an empty time series")
-    t = ts.column("t")
-    theta_err = ts.column("theta_err_norm")
+    # Strided views of the block, not column() copies: the ufuncs read the
+    # same values, so the metrics are the same and no column is duplicated.
+    t, theta_err, e1, e2, u1, u2 = (ts.rows[:, COLUMNS.index(name)] for name in (
+        "t", "theta_err_norm", "pos_err1", "pos_err2", "u1", "u2"))
     with np.errstate(over="ignore"):  # an error off the float range reads inf
-        pos_err = np.hypot(ts.column("pos_err1"), ts.column("pos_err2"))
+        pos_err = np.hypot(e1, e2)
         window = pos_err[t >= min(RMSE_T_START, t[-1])]
         rmse = float(np.sqrt(np.mean(window ** 2)))
         top = window.max()
@@ -375,6 +377,6 @@ def summarize(ts: TimeSeries) -> Metrics:
         pos_rmse=rmse,
         settle_time=_first_sustained(t, pos_err, SETTLE_POS_TOL),
         theta_converge_time=_first_sustained(t, theta_err, THETA_CONVERGE_TOL),
-        max_thrust=float(np.abs(ts.column("u1")).max()),
-        max_torque=float(np.abs(ts.column("u2")).max()),
+        max_thrust=float(np.abs(u1).max()),
+        max_torque=float(np.abs(u2).max()),
     )

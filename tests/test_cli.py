@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bicopterlab
+from bicopterlab import linearizer, verify
 from bicopterlab.cli import _KEYS, parse_config, run_cli
 from bicopterlab.errors import BicopterError, ParseError, ValidationError
 from bicopterlab.sim import COLUMNS, SimConfig
@@ -121,6 +122,13 @@ def test_gains_command(capsys):
     assert "K3: 134.75" in out
     assert "K4: 19" in out
     assert "eig1:" in out
+
+
+def test_gains_help_still_parses(capsys):
+    # the poles need no "--", but -h and --help stay the subcommand's help
+    for flag in ("-h", "--help"):
+        assert run_cli(["gains", flag]) == 0
+        assert capsys.readouterr().out.startswith("usage: bicopterlab gains [-h] poles")
 
 
 def test_gains_command_rejects_unstable(capsys):
@@ -230,7 +238,7 @@ for argv in (["simulate", cfg, csv], ["report", csv], ["gains", "-4.5", "-4", "-
 """
 
 
-def test_only_verify_loads_numpy_random(tmp_path):
+def test_no_command_loads_numpy_random(tmp_path):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("sim.t_end = 0.05\n")
     src = str(Path(bicopterlab.__file__).resolve().parents[1])
@@ -239,8 +247,8 @@ def test_only_verify_loads_numpy_random(tmp_path):
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
     if out.startswith("True"):
         pytest.skip("this numpy loads numpy.random on its own import")
-    # simulate, report and gains draw nothing; verify seeds its generators on first use
-    assert out == "False False False False True"
+    # simulate, report and gains draw nothing; verify draws from the stdlib generator
+    assert out == "False False False False False"
 
 
 # Keys outside the plant, the poles and sim.dt, each set off its default
@@ -473,6 +481,22 @@ def test_verify_beta_inverse_overflow_is_one_line_error(tmp_path, capsys):
     cfg_path = tmp_path / "extreme.cfg"
     cfg_path.write_text("plant.j = 1e308\n")
     rc = run_cli(["verify", str(cfg_path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: beta inverse check left the float range\n"
+    assert "beta_inverse_pass" not in captured.out
+
+
+def test_verify_beta_inverse_nan_in_last_entry_is_one_line_error(monkeypatch, capsys):
+    # Only the last products read the NaN, and max() passes over a NaN
+    # that is not its first argument, so every entry is tested.
+    def nan_last(chi, m, j):
+        out = linearizer.beta_inv(chi, m, j)
+        out[1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, "beta_inv", nan_last)
+    rc = run_cli(["verify"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == "error: beta inverse check left the float range\n"

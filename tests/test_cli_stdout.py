@@ -6,11 +6,13 @@ integrates no run of its own: the CLI's `simulate` is handed the fixture's
 series after checking that the config it parsed is the fixture's.
 """
 
+import tracemalloc
+
 import pytest
 
 import bicopterlab.cli as cli
 from bicopterlab.cli import run_cli
-from bicopterlab.sim import SimConfig
+from bicopterlab.sim import SimConfig, summarize
 from bicopterlab.trajectory import HilbertSpec
 
 GAINS = """\
@@ -29,8 +31,8 @@ eig8: -4+0j
 """
 
 VERIFY = """\
-relative_degree_lower_order_max: 2.771088e-09
-relative_degree_k3_rel_err_max: 1.834186e-07
+relative_degree_lower_order_max: 3.061322e-09
+relative_degree_k3_rel_err_max: 2.428380e-07
 relative_degree_pass: true
 beta_inverse_max_err: 3.330669e-16
 beta_inverse_pass: true
@@ -81,6 +83,16 @@ def test_stdout_is_pinned(argv, want, capsys):
     assert capsys.readouterr() == (want, "")
 
 
+# Negative poles in exponent form or with a trailing point, which argparse
+# alone reads as flags; they need no "--".
+@pytest.mark.parametrize(
+    "poles", [["-4.5e0", "-4", "-5", "-5.5"], ["-45e-1", "-4.", "-5E0", "-5.5"]]
+)
+def test_gains_reads_exponent_form_poles(poles, capsys):
+    assert run_cli(["gains", *poles]) == 0
+    assert capsys.readouterr() == (GAINS, "")
+
+
 @pytest.mark.parametrize("workload", list(SIMULATE))
 def test_simulate_stdout_is_pinned(workload, request, monkeypatch, tmp_path, capsys):
     text, cfg, want = SIMULATE[workload]
@@ -95,3 +107,17 @@ def test_simulate_stdout_is_pinned(workload, request, monkeypatch, tmp_path, cap
     cfg_path.write_text(text)
     assert run_cli(["simulate", str(cfg_path), str(tmp_path / "run.csv")]) == 0
     assert capsys.readouterr() == (want, "")
+
+
+def test_summarize_reads_views_of_the_block(ellipse_known_io):
+    # summarize allocates no copy of the columns it reads: its tracemalloc
+    # peak stays within 4 columns, and its metrics are simulate's pinned ones
+    column_bytes = len(ellipse_known_io.rows) * 8
+    tracemalloc.start()
+    try:
+        metrics = summarize(ellipse_known_io)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * column_bytes
+    assert "".join(f"{line}\n" for line in metrics.lines()) == SIMULATE["ellipse_known_io"][2]
