@@ -26,8 +26,8 @@ def report_lines(report):
         yield f"lower_order_max_k{k}: {report.lower_order_max[k]:.6e}"
     for i in range(2):
         for j in range(2):
-            yield f"k3_matrix_{i+1}{j+1}: {report.k3_matrix[i, j]:.10e}"
-            yield f"beta_{i+1}{j+1}: {report.beta_matrix[i, j]:.10e}"
+            yield f"k3_matrix_{i+1}{j+1}: {report.k3_matrix[i][j]:.10e}"
+            yield f"beta_{i+1}{j+1}: {report.beta_matrix[i][j]:.10e}"
     yield f"k3_rel_err: {report.k3_rel_err:.6e}"
     yield f"passed: {str(report.passed).lower()}"
 

@@ -18,8 +18,6 @@ import sys
 from dataclasses import fields, is_dataclass
 from math import radians
 
-import numpy as np
-
 from .errors import BicopterError, ParseError, ValidationError
 from .estimator import EstimatorConfig
 from .model import PlantParams
@@ -134,6 +132,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gains(args) -> int:
+    import numpy as np  # the one command that needs a matrix: eigvals checks the poles
+
     k = place_gains(args.poles)
     for i, gain in enumerate(k, start=1):
         print(f"K{i}: {abs(gain):.17g}")

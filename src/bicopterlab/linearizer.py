@@ -17,9 +17,7 @@ U_MIN guard on every inversion.
 """
 
 from dataclasses import dataclass
-from math import cos, inf, isfinite, sin
-
-import numpy as np
+from math import cos, inf, isfinite, sin, sqrt
 
 from .errors import IllConditioned, NonFiniteState, SingularThrust
 from .model import PlantParams, extended_deriv, rk4_step
@@ -51,15 +49,13 @@ def alpha(chi, m: float) -> tuple:
     )
 
 
-def beta(chi, m: float, j: float) -> np.ndarray:
-    """Input map multiplying w in the 4th output derivatives."""
+def beta(chi, m: float, j: float) -> tuple:
+    """Input map multiplying w in the 4th output derivatives, as two rows."""
     s3, c3 = sin(chi[2]), cos(chi[2])
     x7 = chi[6]
-    return np.array(
-        [
-            [-s3 / m, -c3 * x7 / (m * j)],
-            [c3 / m, -s3 * x7 / (m * j)],
-        ]
+    return (
+        (-s3 / m, -c3 * x7 / (m * j)),
+        (c3 / m, -s3 * x7 / (m * j)),
     )
 
 
@@ -71,15 +67,13 @@ def _guarded_thrust(chi) -> float:
     return x7
 
 
-def beta_inv(chi, m: float, j: float) -> np.ndarray:
-    """Closed-form inverse of `beta`; valid only away from zero thrust."""
+def beta_inv(chi, m: float, j: float) -> tuple:
+    """Closed-form inverse of `beta`, as two rows; valid only away from zero thrust."""
     x7 = _guarded_thrust(chi)
     s3, c3 = sin(chi[2]), cos(chi[2])
-    return np.array(
-        [
-            [-m * s3, m * c3],
-            [-j * m * c3 / x7, -j * m * s3 / x7],
-        ]
+    return (
+        (-m * s3, m * c3),
+        (-j * m * c3 / x7, -j * m * s3 / x7),
     )
 
 
@@ -150,19 +144,24 @@ def _drift_flow_output(chi, p: PlantParams, t: float) -> tuple:
     return (y[0], y[1])
 
 
-def _output_time_derivs(chi, p: PlantParams) -> np.ndarray:
-    """Derivatives d^k/dt^k H along the drift flow, k = 0..3, shape (4, 2)."""
+def _output_time_derivs(chi, p: PlantParams) -> tuple:
+    """Derivatives d^k/dt^k H along the drift flow, k = 0..3: four rows of (y1, y2)."""
     h = _STENCIL_H
     samples = {}
     for j in range(-3, 4):
         samples[j] = (chi[0], chi[1]) if j == 0 else _drift_flow_output(chi, p, j * h)
-    out = np.empty((4, 2))
-    out[0] = samples[0]
-    for axis in range(2):
-        out[1, axis] = sum(w * samples[j][axis] for w, j in zip(_D1_W, _D1_J)) / (12.0 * h)
-        out[2, axis] = sum(w * samples[j][axis] for w, j in zip(_D2_W, _D2_J)) / (12.0 * h * h)
-        out[3, axis] = sum(w * samples[j][axis] for w, j in zip(_D3_W, _D3_J)) / (8.0 * h ** 3)
-    return out
+    stencils = ((_D1_W, _D1_J, 12.0 * h), (_D2_W, _D2_J, 12.0 * h * h),
+                (_D3_W, _D3_J, 8.0 * h ** 3))
+    return (samples[0], *(
+        tuple(sum(w * samples[j][axis] for w, j in zip(ws, js)) / den for axis in range(2))
+        for ws, js, den in stencils
+    ))
+
+
+def _frobenius(a) -> float:
+    """Frobenius norm of a 2x2 matrix, its squares summed row by row as numpy sums."""
+    (a11, a12), (a21, a22) = a
+    return sqrt(a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
 
 
 @dataclass
@@ -170,8 +169,8 @@ class RelativeDegreeReport:
     """Result of the numeric input-to-output-derivative probe."""
 
     lower_order_max: dict  # k in {0,1,2} -> max scaled |L_G L_F^k H| entry
-    k3_matrix: np.ndarray  # numeric L_G L_F^3 H, shape (2, 2)
-    beta_matrix: np.ndarray  # analytic beta at the same state, true params
+    k3_matrix: tuple  # numeric L_G L_F^3 H, two rows of 2
+    beta_matrix: tuple  # analytic beta at the same state, true params
     k3_rel_err: float
     passed: bool
 
@@ -193,31 +192,32 @@ def lie_relative_degree_check(chi, p: PlantParams) -> RelativeDegreeReport:
     """
     _guarded_thrust(chi)
 
-    # (state index perturbed, output scale of that input column)
-    columns = ((7, 1.0), (5, 1.0 / p.J))
-    num = np.empty((4, 2, 2))  # order k, output i, input column c
-    scale = np.ones(4)
-    # Extreme plants overflow here; the check below turns that into one error.
-    with np.errstate(all="ignore"):
-        for c, (idx, col_scale) in enumerate(columns):
-            chi_p = list(chi)
-            chi_m = list(chi)
-            chi_p[idx] += _PERTURB
-            chi_m[idx] -= _PERTURB
-            d_p = _output_time_derivs(chi_p, p)
-            d_m = _output_time_derivs(chi_m, p)
-            num[:, :, c] = (d_p - d_m) / (2.0 * _PERTURB) * col_scale
-            scale = np.maximum(scale, np.abs(d_p).max(axis=1))
-            scale = np.maximum(scale, np.abs(d_m).max(axis=1))
-
-        lower = {k: float(np.abs(num[k]).max() / scale[k]) for k in range(3)}
-        k3 = num[3]
+    # (derivatives at chi + and - the perturbation, output scale) per input column
+    probes = []
+    for idx, col_scale in ((7, 1.0), (5, 1.0 / p.J)):
+        chi_p, chi_m = list(chi), list(chi)
+        chi_p[idx] += _PERTURB
+        chi_m[idx] -= _PERTURB
+        probes.append((_output_time_derivs(chi_p, p), _output_time_derivs(chi_m, p), col_scale))
+    # num[k][i][c]: order k, output i, input column c
+    num = tuple(
+        tuple(tuple((d_p[k][i] - d_m[k][i]) / (2.0 * _PERTURB) * col_scale
+                    for d_p, d_m, col_scale in probes) for i in range(2))
+        for k in range(4)
+    )
+    scale = [max(1.0, *(abs(v) for d_p, d_m, _ in probes for v in (*d_p[k], *d_m[k])))
+             for k in range(4)]
+    lower = {k: max(abs(v) for row in num[k] for v in row) / scale[k] for k in range(3)}
+    k3 = num[3]
+    try:
         b = beta(chi, p.m, p.J)
-        # Frobenius norms elementwise: np.linalg.norm's dot product wakes BLAS
-        b_norm = np.sqrt((b ** 2).sum())
-        rel = float(np.sqrt(((k3 - b) ** 2).sum()) / b_norm)
-    # verify's max() would pass over a NaN, so an overflowed probe ends here.
-    finite = np.isfinite(num).all() and np.isfinite(scale).all() and isfinite(rel)
+        b_norm = _frobenius(b)
+        rel = _frobenius([[x - y for x, y in zip(kr, br)] for kr, br in zip(k3, b)]) / b_norm
+    except ZeroDivisionError:  # an extreme plant's m * J underflows to 0 inside beta
+        b_norm = rel = inf  # which the check below rejects
+    # verify's max() would pass over a NaN, so an overflowed probe ends here;
+    # a non-finite derivative in `scale` leaves one in `num` too.
+    finite = all(isfinite(v) for rows in num for row in rows for v in row) and isfinite(rel)
     if not (finite and 0.0 < b_norm < inf):
         raise IllConditioned("relative-degree probe left the float range: k3, beta or |beta|")
     passed = all(lower[k] < 1e-6 for k in range(3)) and rel < 1e-4

@@ -28,14 +28,17 @@ and data matrices and `params_from_theta`. It keeps calling `xi_of_chi`,
 the reference, `estimate_deriv` and, once per step, `rk4_step`: the
 benchmark's tests pin those call counts. The layered functions remain the
 kernel's oracle, read by the tests, `verify` and the acceptance gate.
+
+A run's log is one flat array("d") of rows. `to_csv`, `from_csv` and
+`summarize` work on it in plain Python, so no command but `gains` imports
+numpy; `TimeSeries.rows` shows the same memory as a numpy array, for tests.
 """
 
 from array import array
 from dataclasses import dataclass, field, fields
-from functools import cached_property
-from math import cos, inf, isfinite, sin
-
-import numpy as np
+from functools import cached_property, reduce
+from math import cos, inf, isfinite, sin, sqrt
+from operator import add
 
 from .errors import (
     EmptySeries,
@@ -177,30 +180,38 @@ COLUMNS = (
 )
 
 
-def _block(buf: array) -> np.ndarray:
-    """The logged rows held in `buf`, as one (rows, len(COLUMNS)) float64 array."""
-    return np.frombuffer(buf).reshape(-1, len(COLUMNS))
-
-
 @dataclass(eq=False)
 class TimeSeries:
     """Logged per-step records of one simulation run, one float64 row per record.
 
-    `rows` is one C-contiguous array of shape (rows, len(COLUMNS)).
+    `data` holds the rows back to back in one flat array("d"). `rows` is the
+    same memory as one C-contiguous (rows, len(COLUMNS)) numpy array, made on
+    first use, so numpy loads only for the code that asks for it.
     """
 
-    rows: np.ndarray = field(default_factory=lambda: _block(array("d")))
+    data: array = field(default_factory=lambda: array("d"))
 
-    def column(self, name: str) -> np.ndarray:
+    @cached_property
+    def rows(self):
+        import numpy as np
+
+        return np.frombuffer(self.data).reshape(-1, len(COLUMNS))
+
+    def view(self, name: str) -> memoryview:
+        """Column `name` as a strided view of `data`; it copies nothing."""
+        return memoryview(self.data)[COLUMNS.index(name)::len(COLUMNS)]
+
+    def column(self, name: str):
         return self.rows[:, COLUMNS.index(name)].copy()
 
     def to_csv(self, path) -> None:
         # One row at a time: converting the whole block to Python floats at
         # once would cost about 1.2 KB per row.
-        fmt = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
+        n, data = len(COLUMNS), self.data
+        fmt = ",".join(["%.17g"] * n) + "\n"
         with open(path, "w") as f:
             f.write(",".join(COLUMNS) + "\n")
-            f.writelines(fmt % tuple(row.tolist()) for row in self.rows)
+            f.writelines(fmt % tuple(data[i:i + n]) for i in range(0, len(data), n))
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
@@ -226,7 +237,7 @@ class TimeSeries:
                 if not isfinite(sum(row)) and not all(map(isfinite, row)):
                     raise ParseError("non-finite field", line_no)
                 buf.extend(row)
-        return cls(rows=_block(buf))
+        return cls(buf)
 
 
 def _closed_loop(cfg: SimConfig) -> tuple:
@@ -323,7 +334,7 @@ def simulate(cfg: SimConfig) -> TimeSeries:
                 buf.extend(record(y, (i + 1) * dt))
     except _ABORTS as exc:
         raise _aborted(exc, i, i * dt) from exc
-    return TimeSeries(rows=_block(buf))
+    return TimeSeries(buf)
 
 
 def _aborted(exc: Exception, i: int, t: float) -> Exception:
@@ -348,35 +359,68 @@ class Metrics:
             yield f"{f.name}: {getattr(self, f.name):.17g}"
 
 
-def _first_sustained(t: np.ndarray, values: np.ndarray, tol: float) -> float:
-    """Earliest logged time after which `values` stays below tol."""
-    below = values < tol
-    if not below[-1]:
+def _hypot(x: float, y: float) -> float:
+    """np.hypot bit for bit: complex abs calls libm hypot, which math.hypot does not."""
+    try:
+        return abs(complex(x, y))
+    except OverflowError:  # a finite pair whose norm is off the float range
         return inf
-    # index of the last sample at or above tol; below[-1] puts it before the end
-    above = np.nonzero(~below)[0]
-    return float(t[above[-1] + 1 if len(above) else 0])
+
+
+def _pairwise_sum(a, lo: int = 0, n: int | None = None) -> float:
+    """Sum of a[lo:lo + n] in numpy's pairwise order, so np.add.reduce's bit for bit.
+
+    Above 128 terms two halves split at a multiple of 8; down to 8, eight
+    running sums added as a tree; then one by one.
+    """
+    n = len(a) - lo if n is None else n
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+    s, end = 0.0, lo
+    if n >= 8:
+        end = lo + n - n % 8
+        r = [reduce(add, a[k:end:8]) for k in range(lo, lo + 8)]  # sum() compensates on 3.12+
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(end, lo + n):
+        s += a[i]
+    return s
+
+
+def _first_sustained(t, values, tol: float) -> float:
+    """Earliest logged time after which `values` stays below tol."""
+    last_above = -1
+    for i, value in enumerate(values):
+        if not value < tol:
+            last_above = i
+    # past the last sample at or above tol; if that is the last sample, never
+    return inf if last_above == len(t) - 1 else t[last_above + 1]
 
 
 def summarize(ts: TimeSeries) -> Metrics:
-    """Compute the summary metrics of a logged run."""
-    if len(ts.rows) == 0:
+    """Compute the summary metrics of a logged run, as numpy computed them, bit for bit.
+
+    It reads strided views of the block and keeps one array, the RMSE window's squares.
+    """
+    if not ts.data:
         raise EmptySeries("cannot summarize an empty time series")
-    # Strided views of the block, not column() copies: the ufuncs read the
-    # same values, so the metrics are the same and no column is duplicated.
-    t, theta_err, e1, e2, u1, u2 = (ts.rows[:, COLUMNS.index(name)] for name in (
-        "t", "theta_err_norm", "pos_err1", "pos_err2", "u1", "u2"))
-    with np.errstate(over="ignore"):  # an error off the float range reads inf
-        pos_err = np.hypot(e1, e2)
-        window = pos_err[t >= min(RMSE_T_START, t[-1])]
-        rmse = float(np.sqrt(np.mean(window ** 2)))
-        top = window.max()
-        if rmse == inf and top < inf:  # the squares overflowed: rescale them
-            rmse = float(top * np.sqrt(np.mean((window / top) ** 2)))
+    t, e1, e2 = ts.view("t"), ts.view("pos_err1"), ts.view("pos_err2")
+    t0 = min(RMSE_T_START, t[-1])
+
+    def window():
+        return (p for p, tt in zip(map(_hypot, e1, e2), t) if tt >= t0)
+
+    squares = array("d", (p * p for p in window()))
+    rmse = sqrt(_pairwise_sum(squares) / len(squares))
+    if rmse == inf:  # the squares overflowed: rescale them
+        top = max(window())
+        if top < inf:
+            squares = array("d", ((p / top) * (p / top) for p in window()))
+            rmse = top * sqrt(_pairwise_sum(squares) / len(squares))
     return Metrics(
         pos_rmse=rmse,
-        settle_time=_first_sustained(t, pos_err, SETTLE_POS_TOL),
-        theta_converge_time=_first_sustained(t, theta_err, THETA_CONVERGE_TOL),
-        max_thrust=float(np.abs(u1).max()),
-        max_torque=float(np.abs(u2).max()),
+        settle_time=_first_sustained(t, map(_hypot, e1, e2), SETTLE_POS_TOL),
+        theta_converge_time=_first_sustained(t, ts.view("theta_err_norm"), THETA_CONVERGE_TOL),
+        max_thrust=max(map(abs, ts.view("u1"))),
+        max_torque=max(map(abs, ts.view("u2"))),
     )

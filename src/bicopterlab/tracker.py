@@ -18,8 +18,6 @@ axis (2 floats).
 
 from cmath import isfinite
 
-import numpy as np
-
 from .errors import UnstablePoleRequest, ValidationError
 
 __all__ = [
@@ -31,6 +29,8 @@ __all__ = [
 
 def brunovsky_matrices() -> tuple:
     """The two decoupled 4-integrator chains, (A, B) with A 8x8 and B 8x2."""
+    import numpy as np
+
     A = np.zeros((8, 8))
     for row in (0, 1, 2, 4, 5, 6):
         A[row, row + 1] = 1.0

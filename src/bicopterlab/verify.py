@@ -12,15 +12,13 @@ a computation that does not share its code path:
      The oracle flies its own run, the default ellipse on its own uniform
      log grid, so of the config it reads only the plant, the poles and dt.
 
-Only this module draws random numbers, from the stdlib generator, which
-numpy imports anyway; no command loads `numpy.random`. The oracles do their
-2x2 algebra elementwise, so `verify` touches no BLAS workspace either.
+Only this module draws random numbers, from the stdlib generator. The
+oracles do their 2x2 algebra and the stencil on Python floats, reading the
+log through strided views, so `verify` does not import numpy.
 """
 
 from math import isfinite
 from random import Random
-
-import numpy as np
 
 from .errors import BicopterError, IllConditioned, ValidationError
 from .linearizer import beta, beta_inv, lie_relative_degree_check
@@ -40,8 +38,8 @@ RELATIVE_DEGREE_STATES = 5
 BETA_INVERSE_STATES = 1000
 
 
-def _random_chi(rng: Random, chi7_lo: float = 1.0):
-    chi = np.array([rng.uniform(-2.0, 2.0) for _ in range(8)])
+def _random_chi(rng: Random, chi7_lo: float = 1.0) -> list:
+    chi = [rng.uniform(-2.0, 2.0) for _ in range(8)]
     chi[6] = rng.uniform(chi7_lo, 20.0) * rng.choice((-1.0, 1.0))
     return chi
 
@@ -66,16 +64,15 @@ def _check_beta_inverse(cfg: SimConfig, emit) -> bool:
     rng = Random(7)
     m, j = cfg.plant.m, cfg.plant.J
     worst = 0.0
-    with np.errstate(all="ignore"):  # an entry off the float range raises below
-        for _ in range(BETA_INVERSE_STATES):
-            chi = _random_chi(rng, 0.11)
-            (b11, b12), (b21, b22) = beta(chi, m, j).tolist()
-            (i11, i12), (i21, i22) = beta_inv(chi, m, j).tolist()
-            err = (b11 * i11 + b12 * i21 - 1.0, b11 * i12 + b12 * i22,
-                   b21 * i11 + b22 * i21, b21 * i12 + b22 * i22 - 1.0)
-            if not all(isfinite(e) for e in err):  # max() would pass over a NaN
-                raise IllConditioned("beta inverse check left the float range")
-            worst = max(worst, *map(abs, err))
+    for _ in range(BETA_INVERSE_STATES):
+        chi = _random_chi(rng, 0.11)
+        (b11, b12), (b21, b22) = beta(chi, m, j)
+        (i11, i12), (i21, i22) = beta_inv(chi, m, j)
+        err = (b11 * i11 + b12 * i21 - 1.0, b11 * i12 + b12 * i22,
+               b21 * i11 + b22 * i21, b21 * i12 + b22 * i22 - 1.0)
+        if not all(isfinite(e) for e in err):  # max() would pass over a NaN
+            raise IllConditioned("beta inverse check left the float range")
+        worst = max(worst, *map(abs, err))
     ok = worst < 1e-10
     emit(f"beta_inverse_max_err: {worst:.6e}")
     emit(f"beta_inverse_pass: {str(ok).lower()}")
@@ -89,22 +86,21 @@ def fourth_derivative_rel_err(ts) -> float:
     v1, v2 at the stencil centers. Precondition: every row lies on one
     uniform log grid, and some stencil center lies past STENCIL_CUTOFF.
     """
-    t = ts.column("t")
-    center = slice(3, len(t) - 3)
-    mask = t[center] > STENCIL_CUTOFF
-    h = t[1] - t[0]
+    t = ts.view("t")
+    h4 = (t[1] - t[0]) ** 4
     # 7-point central 4th-derivative stencil, O(h^4): the startup transient
     # carries large 6th derivatives, so the plain 5-point O(h^2) stencil is
     # not accurate enough right after the 0.5 s cutoff.
     w = (-1.0 / 6.0, 2.0, -6.5, 28.0 / 3.0, -6.5, 2.0, -1.0 / 6.0)
     worst = 0.0
     for pos_col, v_col in (("r1", "v1"), ("r2", "v2")):
-        y = ts.column(pos_col)
-        v = ts.column(v_col)
-        d4 = sum(w[k] * y[k : len(y) - 6 + k] for k in range(7))
-        d4 /= h ** 4
-        rel = np.abs(d4 - v[center]) / np.maximum(1.0, np.abs(v[center]))
-        worst = max(worst, float(rel[mask].max()))
+        y, v = ts.view(pos_col), ts.view(v_col)
+        for c in (c for c in range(3, len(t) - 3) if t[c] > STENCIL_CUTOFF):
+            d4 = 0.0
+            for k in range(7):  # term by term, as numpy adds: sum() compensates on 3.12+
+                d4 += w[k] * y[c - 3 + k]
+            rel = abs(d4 / h4 - v[c]) / max(1.0, abs(v[c]))
+            worst = max(worst, rel)
     return worst
 
 

@@ -251,6 +251,30 @@ def test_no_command_loads_numpy_random(tmp_path):
     assert out == "False False False False False"
 
 
+# Runs simulate, report and verify in one fresh interpreter that has not
+# imported numpy, then prints whether numpy is loaded.
+_NO_NUMPY = """
+import io, sys
+from contextlib import redirect_stdout
+from bicopterlab.cli import run_cli
+cfg, csv = sys.argv[1:]
+for argv in (["simulate", cfg, csv], ["report", csv], ["verify", cfg]):
+    with redirect_stdout(io.StringIO()):
+        assert run_cli(argv) == 0, argv
+print("numpy" in sys.modules, end="")
+"""
+
+
+def test_simulate_report_and_verify_import_no_numpy(tmp_path):
+    # Only gains needs a matrix; numpy is a third of a run's peak memory.
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("sim.t_end = 0.05\n")
+    src = str(Path(bicopterlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", _NO_NUMPY, str(cfg), str(tmp_path / "run.csv")]
+    assert subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout == "False"
+
+
 # Keys outside the plant, the poles and sim.dt, each set off its default
 _KEYS_VERIFY_IGNORES = """\
 trajectory.kind = hilbert
@@ -463,16 +487,27 @@ def test_float_overflow_ends_as_one_line_error(tmp_path, capsys, line):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["plant.m = 1e-308", "plant.m = 1e308", "plant.j = 1e-300"])
+_PROBE_LEFT = "relative-degree probe left the float range: k3, beta or |beta|"
+# config text -> the one error verify ends with
+_EXTREME_PLANTS = {
+    "plant.m = 1e-308": "drift flow diverged inside the stencil",
+    "plant.m = 1e308": _PROBE_LEFT,
+    "plant.j = 1e-300": _PROBE_LEFT,
+    "plant.m = 1e-200\nplant.j = 1e-200": _PROBE_LEFT,
+}
+
+
+@pytest.mark.parametrize("line", list(_EXTREME_PLANTS))
 def test_verify_extreme_plant_ends_as_one_line_error(tmp_path, capsys, line):
     # The relative-degree oracle overflows or loses its scale on these
-    # plants: one error, no verdict over a NaN and no numpy warning.
+    # plants: one error, no verdict over a NaN and no traceback. The
+    # last plant's m * J underflows to 0, a division by zero inside beta.
     cfg_path = tmp_path / "extreme.cfg"
     cfg_path.write_text(line + "\n")
     rc = run_cli(["verify", str(cfg_path)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == f"error: {_EXTREME_PLANTS[line]}\n"
     assert "relative_degree_pass" not in captured.out
 
 
@@ -491,9 +526,8 @@ def test_verify_beta_inverse_nan_in_last_entry_is_one_line_error(monkeypatch, ca
     # Only the last products read the NaN, and max() passes over a NaN
     # that is not its first argument, so every entry is tested.
     def nan_last(chi, m, j):
-        out = linearizer.beta_inv(chi, m, j)
-        out[1, 1] = np.nan
-        return out
+        first, (i21, _) = linearizer.beta_inv(chi, m, j)
+        return first, (i21, float("nan"))
 
     monkeypatch.setattr(verify, "beta_inv", nan_last)
     rc = run_cli(["verify"])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from array import array
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -34,6 +35,8 @@ from bicopterlab.sim import (
     SimConfig,
     TimeSeries,
     _closed_loop,
+    _hypot,
+    _pairwise_sum,
     rk4_step,
     simulate,
     summarize,
@@ -379,7 +382,7 @@ def _series_with(pos_err, theta_err, dt=0.1):
     rows[:, COLUMNS.index("t")] = np.arange(len(pos_err)) * dt
     rows[:, COLUMNS.index("pos_err1")] = pos_err
     rows[:, COLUMNS.index("theta_err_norm")] = theta_err
-    return TimeSeries(rows=rows)
+    return TimeSeries(array("d", rows.tobytes()))
 
 
 def test_summarize_zero_error():
@@ -408,3 +411,21 @@ def test_summarize_constant_error_rmse():
 def test_summarize_empty_series():
     with pytest.raises(EmptySeries):
         summarize(TimeSeries())
+
+
+def test_pairwise_sum_is_numpys_bit_for_bit():
+    # summarize's mean must be np.mean's: the same pairwise order of additions
+    rng = np.random.default_rng(11)
+    for n in [*range(301), 8191, 8192, 8193, 17_001, 20_001, 30_001]:
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        assert _pairwise_sum(array("d", x.tobytes())) == np.add.reduce(x), n
+
+
+def test_hypot_is_numpys_bit_for_bit():
+    # math.hypot rounds differently from libm's hypot, which np.hypot calls
+    rng = np.random.default_rng(12)
+    for scale in (1e-9, 1e-3, 1.0, 1e3, 1e50, 1e150):
+        x = rng.normal(size=10_000) * scale
+        y = rng.normal(size=10_000) * scale * rng.random(10_000)
+        assert list(map(_hypot, x.tolist(), y.tolist())) == np.hypot(x, y).tolist(), scale
+    assert _hypot(1.5e308, 1.5e308) == _hypot(-1.5e308, 1e308) == float("inf")
