@@ -17,7 +17,9 @@ U_MIN guard on every inversion.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from math import cos, inf, isfinite, sin, sqrt
+from operator import add, mul
 
 from .errors import IllConditioned, NonFiniteState, SingularThrust
 from .model import PlantParams, extended_deriv, rk4_step
@@ -128,6 +130,11 @@ _FLOW_SUBSTEPS = 30
 _PERTURB = 0.1
 
 
+def _dot(ws, xs) -> float:
+    """Sum of ws[k] * xs[k], added left to right from 0.0: sum() compensates on 3.12+."""
+    return reduce(add, map(mul, ws, xs), 0.0)
+
+
 def _drift_flow_output(chi, p: PlantParams, t: float) -> tuple:
     """Position output H(chi(t)) of the undriven extended flow, via RK4; t < 0 runs backwards."""
 
@@ -153,13 +160,13 @@ def _output_time_derivs(chi, p: PlantParams) -> tuple:
     stencils = ((_D1_W, _D1_J, 12.0 * h), (_D2_W, _D2_J, 12.0 * h * h),
                 (_D3_W, _D3_J, 8.0 * h ** 3))
     return (samples[0], *(
-        tuple(sum(w * samples[j][axis] for w, j in zip(ws, js)) / den for axis in range(2))
+        tuple(_dot(ws, [samples[j][axis] for j in js]) / den for axis in range(2))
         for ws, js, den in stencils
     ))
 
 
 def _frobenius(a) -> float:
-    """Frobenius norm of a 2x2 matrix, its squares summed row by row as numpy sums."""
+    """Frobenius norm of a 2x2 matrix, its squares summed row by row."""
     (a11, a12), (a21, a22) = a
     return sqrt(a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22)
 

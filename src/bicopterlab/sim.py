@@ -29,16 +29,15 @@ the reference, `estimate_deriv` and, once per step, `rk4_step`: the
 benchmark's tests pin those call counts. The layered functions remain the
 kernel's oracle, read by the tests, `verify` and the acceptance gate.
 
-A run's log is one flat array("d") of rows. `to_csv`, `from_csv` and
-`summarize` work on it in plain Python, so no command but `gains` imports
-numpy; `TimeSeries.rows` shows the same memory as a numpy array, for tests.
+A run's log is one flat array("d") of rows. `to_csv`, `from_csv` and `summarize`
+(its sums exactly rounded by `math.fsum`) read it in plain Python, so only `gains`
+imports numpy; `TimeSeries.rows` shows the same memory as a numpy array, for tests.
 """
 
 from array import array
 from dataclasses import dataclass, field, fields
-from functools import cached_property, reduce
-from math import cos, inf, isfinite, sin, sqrt
-from operator import add
+from functools import cached_property
+from math import cos, fsum, hypot, inf, isfinite, sin, sqrt
 
 from .errors import (
     EmptySeries,
@@ -359,34 +358,6 @@ class Metrics:
             yield f"{f.name}: {getattr(self, f.name):.17g}"
 
 
-def _hypot(x: float, y: float) -> float:
-    """np.hypot bit for bit: complex abs calls libm hypot, which math.hypot does not."""
-    try:
-        return abs(complex(x, y))
-    except OverflowError:  # a finite pair whose norm is off the float range
-        return inf
-
-
-def _pairwise_sum(a, lo: int = 0, n: int | None = None) -> float:
-    """Sum of a[lo:lo + n] in numpy's pairwise order, so np.add.reduce's bit for bit.
-
-    Above 128 terms two halves split at a multiple of 8; down to 8, eight
-    running sums added as a tree; then one by one.
-    """
-    n = len(a) - lo if n is None else n
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
-    s, end = 0.0, lo
-    if n >= 8:
-        end = lo + n - n % 8
-        r = [reduce(add, a[k:end:8]) for k in range(lo, lo + 8)]  # sum() compensates on 3.12+
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(end, lo + n):
-        s += a[i]
-    return s
-
-
 def _first_sustained(t, values, tol: float) -> float:
     """Earliest logged time after which `values` stays below tol."""
     last_above = -1
@@ -398,28 +369,24 @@ def _first_sustained(t, values, tol: float) -> float:
 
 
 def summarize(ts: TimeSeries) -> Metrics:
-    """Compute the summary metrics of a logged run, as numpy computed them, bit for bit.
+    """Compute the summary metrics of a logged run from strided views of its block.
 
-    It reads strided views of the block and keeps one array, the RMSE window's squares.
+    pos_rmse is the root of the math.fsum mean of the squared error norms from RMSE_T_START on.
     """
     if not ts.data:
         raise EmptySeries("cannot summarize an empty time series")
     t, e1, e2 = ts.view("t"), ts.view("pos_err1"), ts.view("pos_err2")
     t0 = min(RMSE_T_START, t[-1])
-
-    def window():
-        return (p for p, tt in zip(map(_hypot, e1, e2), t) if tt >= t0)
-
-    squares = array("d", (p * p for p in window()))
-    rmse = sqrt(_pairwise_sum(squares) / len(squares))
-    if rmse == inf:  # the squares overflowed: rescale them
-        top = max(window())
-        if top < inf:
-            squares = array("d", ((p / top) * (p / top) for p in window()))
-            rmse = top * sqrt(_pairwise_sum(squares) / len(squares))
+    norms = array("d", (p for p, tt in zip(map(hypot, e1, e2), t) if tt >= t0))
+    try:
+        rmse = sqrt(fsum(p * p for p in norms) / len(norms))  # inf if a square is
+    except OverflowError:  # finite squares whose sum is not
+        rmse = inf
+    if rmse == inf and (top := max(norms)) < inf:  # rescale the squares by the largest norm
+        rmse = top * sqrt(fsum((p / top) * (p / top) for p in norms) / len(norms))
     return Metrics(
         pos_rmse=rmse,
-        settle_time=_first_sustained(t, map(_hypot, e1, e2), SETTLE_POS_TOL),
+        settle_time=_first_sustained(t, map(hypot, e1, e2), SETTLE_POS_TOL),
         theta_converge_time=_first_sustained(t, ts.view("theta_err_norm"), THETA_CONVERGE_TOL),
         max_thrust=max(map(abs, ts.view("u1"))),
         max_torque=max(map(abs, ts.view("u2"))),

@@ -21,7 +21,7 @@ from math import isfinite
 from random import Random
 
 from .errors import BicopterError, IllConditioned, ValidationError
-from .linearizer import beta, beta_inv, lie_relative_degree_check
+from .linearizer import _dot, beta, beta_inv, lie_relative_degree_check
 from .sim import MAX_STEPS, SimConfig, simulate
 
 __all__ = ["run_verification"]
@@ -96,11 +96,7 @@ def fourth_derivative_rel_err(ts) -> float:
     for pos_col, v_col in (("r1", "v1"), ("r2", "v2")):
         y, v = ts.view(pos_col), ts.view(v_col)
         for c in (c for c in range(3, len(t) - 3) if t[c] > STENCIL_CUTOFF):
-            d4 = 0.0
-            for k in range(7):  # term by term, as numpy adds: sum() compensates on 3.12+
-                d4 += w[k] * y[c - 3 + k]
-            rel = abs(d4 / h4 - v[c]) / max(1.0, abs(v[c]))
-            worst = max(worst, rel)
+            worst = max(worst, abs(_dot(w, y[c - 3:c + 4]) / h4 - v[c]) / max(1.0, abs(v[c])))
     return worst
 
 

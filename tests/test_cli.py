@@ -1,5 +1,6 @@
 """Config parsing and the command-line entry points."""
 
+import builtins
 import inspect
 import os
 import re
@@ -7,9 +8,9 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from math import hypot, inf, isfinite
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from bicopterlab.cli import _KEYS, parse_config, run_cli
 from bicopterlab.errors import BicopterError, ParseError, ValidationError
 from bicopterlab.sim import COLUMNS, SimConfig
 from bicopterlab.trajectory import EllipseSpec, HilbertSpec
+from test_cli_stdout import VERIFY
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -210,6 +212,31 @@ def test_verify_command(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "all_pass: true" in out
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _neumaier_sum(iterable, /, start=0):
+    """sum() as Python 3.12+ adds floats: compensated, Neumaier's variant."""
+    items = list(iterable)
+    if not all(type(x) is float for x in items) or type(start) not in (int, float):
+        return _BUILTIN_SUM(items, start)
+    s, c = float(start), 0.0
+    for x in items:
+        t = s + x
+        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
+    return s + c if c and isfinite(c) else s
+
+
+def test_verify_output_does_not_follow_sums_compensation(monkeypatch, capsys):
+    # The stencils add left to right, so verify prints its pinned lines under
+    # the compensated sum() of Python 3.12+ as well.
+    monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+    assert sum([0.1] * 10) == 1.0 != _BUILTIN_SUM([0.1] * 10)
+    assert run_cli(["verify"]) == 0
+    assert capsys.readouterr() == (VERIFY, "")
 
 
 def test_verify_dense_log_passes(tmp_path, capsys):
@@ -418,10 +445,12 @@ def test_report_header_only_csv_is_empty(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "err, want", [(1e160, float(np.hypot(1e160, 1e160))), (1.5e308, float("inf"))]
+    "err, want",
+    [(1e160, hypot(1e160, 1e160)), (7e153, hypot(7e153, 7e153)), (1.5e308, inf)],
 )
 def test_report_on_huge_errors_does_not_overflow(tmp_path, capsys, err, want):
-    # The squares of the first overflow, its RMSE does not; the second's does.
+    # The squares of 1e160 overflow, and those of 7e153 only in their sum, while
+    # neither RMSE does; that of 1.5e308 overflows.
     at = {COLUMNS.index("pos_err1"): err, COLUMNS.index("pos_err2"): err}
     rows = [[at.get(j, float(i)) for j in range(len(COLUMNS))] for i in range(5)]
     csv_path = tmp_path / "huge.csv"
