@@ -70,7 +70,11 @@ def _guarded_thrust(chi) -> float:
 
 
 def beta_inv(chi, m: float, j: float) -> tuple:
-    """Closed-form inverse of `beta`, as two rows; valid only away from zero thrust."""
+    """Closed-form inverse of `beta`, as two rows; valid only away from zero thrust.
+
+    Its readers are acceptance criterion 8 and the unit tests. No command or
+    run calls it: `iol_w` and the kernel in `sim._closed_loop` inline its rows.
+    """
     x7 = _guarded_thrust(chi)
     s3, c3 = sin(chi[2]), cos(chi[2])
     return (

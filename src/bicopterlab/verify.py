@@ -1,27 +1,25 @@
 """Numeric verification suite behind the `verify` CLI subcommand.
 
-Three independent oracles, each checking the analytic control law against
-a computation that does not share its code path:
+Two independent oracles, each checking a structural claim of the control
+law against a computation that does not share its code path:
 
   1. relative-degree probe: flow-based input-to-output sensitivities must
      vanish for derivative orders 0-2 and reproduce beta at order 3;
-  2. inverse identity: beta times beta_inv, multiplied out entry by entry,
-     is I over random states;
-  3. closed-loop identity: with exact parameters, finite differences of
+  2. closed-loop identity: with exact parameters, finite differences of
      the logged output 4th derivative must match the logged virtual input.
      The oracle flies its own run, the default ellipse on its own uniform
      log grid, so of the config it reads only the plant, the poles and dt.
 
 Only this module draws random numbers, from the stdlib generator. The
-oracles do their 2x2 algebra and the stencil on Python floats, reading the
-log through strided views, so `verify` does not import numpy.
+stencil runs on Python floats, reading the log through strided views, so
+`verify` does not import numpy.
 """
 
 from math import isfinite
 from random import Random
 
-from .errors import BicopterError, IllConditioned, ValidationError
-from .linearizer import _dot, beta, beta_inv, lie_relative_degree_check
+from .errors import BicopterError, ValidationError
+from .linearizer import _dot, lie_relative_degree_check
 from .sim import MAX_STEPS, SimConfig, simulate
 
 __all__ = ["run_verification"]
@@ -33,14 +31,13 @@ STENCIL_STEP = 0.01
 STENCIL_INTERVALS = 500
 # Stencil centers before this time (s) fall in the startup transient.
 STENCIL_CUTOFF = 0.5
-# Random states probed by the relative-degree and the inverse checks.
+# Random states probed by the relative-degree check.
 RELATIVE_DEGREE_STATES = 5
-BETA_INVERSE_STATES = 1000
 
 
-def _random_chi(rng: Random, chi7_lo: float = 1.0) -> list:
+def _random_chi(rng: Random) -> list:
     chi = [rng.uniform(-2.0, 2.0) for _ in range(8)]
-    chi[6] = rng.uniform(chi7_lo, 20.0) * rng.choice((-1.0, 1.0))
+    chi[6] = rng.uniform(1.0, 20.0) * rng.choice((-1.0, 1.0))
     return chi
 
 
@@ -57,25 +54,6 @@ def _check_relative_degree(cfg: SimConfig, emit) -> bool:
     emit(f"relative_degree_lower_order_max: {worst_lower:.6e}")
     emit(f"relative_degree_k3_rel_err_max: {worst_k3:.6e}")
     emit(f"relative_degree_pass: {str(ok).lower()}")
-    return ok
-
-
-def _check_beta_inverse(cfg: SimConfig, emit) -> bool:
-    rng = Random(7)
-    m, j = cfg.plant.m, cfg.plant.J
-    worst = 0.0
-    for _ in range(BETA_INVERSE_STATES):
-        chi = _random_chi(rng, 0.11)
-        (b11, b12), (b21, b22) = beta(chi, m, j)
-        (i11, i12), (i21, i22) = beta_inv(chi, m, j)
-        err = (b11 * i11 + b12 * i21 - 1.0, b11 * i12 + b12 * i22,
-               b21 * i11 + b22 * i21, b21 * i12 + b22 * i22 - 1.0)
-        if not all(isfinite(e) for e in err):  # max() would pass over a NaN
-            raise IllConditioned("beta inverse check left the float range")
-        worst = max(worst, *map(abs, err))
-    ok = worst < 1e-10
-    emit(f"beta_inverse_max_err: {worst:.6e}")
-    emit(f"beta_inverse_pass: {str(ok).lower()}")
     return ok
 
 
@@ -139,7 +117,6 @@ def run_verification(cfg: SimConfig, emit=print) -> bool:
     """Run all oracles; emit key: value lines; return overall verdict."""
     results = [
         _check_relative_degree(cfg, emit),
-        _check_beta_inverse(cfg, emit),
         _check_closed_loop_identity(cfg, emit),
     ]
     ok = all(results)

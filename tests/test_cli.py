@@ -12,11 +12,10 @@ from math import hypot, inf, isfinite
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bicopterlab
-from bicopterlab import linearizer, verify
 from bicopterlab.cli import _KEYS, parse_config, run_cli
 from bicopterlab.errors import BicopterError, ParseError, ValidationError
 from bicopterlab.sim import COLUMNS, SimConfig
@@ -214,6 +213,32 @@ def test_verify_command(capsys):
     assert "all_pass: true" in out
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for child interpreters."""
+    src = str(Path(bicopterlab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_module_runs_as_a_script():
+    # A script that runs `python -m bicopterlab.cli verify` reads its exit code.
+    argv = [sys.executable, "-W", "error", "-m", "bicopterlab.cli", "verify"]
+    done = subprocess.run(argv, env=_src_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, VERIFY, "")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the known run's controller inverts theta_true through THETA_FLOOR, which "
+    "caps its j_hat at 1000; the fix waits on the pin estimator.us_per_step > 0 in "
+    "perfbench/tests/test_perfbench.py::test_traced_counts_match_the_structure",
+)
+def test_verify_passes_on_a_heavy_inertia(tmp_path, capsys):
+    cfg_path = tmp_path / "heavy.cfg"
+    cfg_path.write_text("plant.j = 2000\n")
+    rc = run_cli(["verify", str(cfg_path)])
+    assert (rc, capsys.readouterr().out.splitlines()[-1]) == (0, "all_pass: true")
+
+
 _BUILTIN_SUM = builtins.sum
 
 
@@ -268,10 +293,8 @@ for argv in (["simulate", cfg, csv], ["report", csv], ["gains", "-4.5", "-4", "-
 def test_no_command_loads_numpy_random(tmp_path):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("sim.t_end = 0.05\n")
-    src = str(Path(bicopterlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-c", _FOOTPRINT, str(cfg), str(tmp_path / "run.csv")]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, check=True).stdout
     if out.startswith("True"):
         pytest.skip("this numpy loads numpy.random on its own import")
     # simulate, report and gains draw nothing; verify draws from the stdlib generator
@@ -296,10 +319,8 @@ def test_simulate_report_and_verify_import_no_numpy(tmp_path):
     # Only gains needs a matrix; numpy is a third of a run's peak memory.
     cfg = tmp_path / "short.cfg"
     cfg.write_text("sim.t_end = 0.05\n")
-    src = str(Path(bicopterlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-c", _NO_NUMPY, str(cfg), str(tmp_path / "run.csv")]
-    assert subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout == "False"
+    assert subprocess.run(argv, env=_src_env(), capture_output=True, text=True, check=True).stdout == "False"
 
 
 # Keys outside the plant, the poles and sim.dt, each set off its default
@@ -540,32 +561,6 @@ def test_verify_extreme_plant_ends_as_one_line_error(tmp_path, capsys, line):
     assert "relative_degree_pass" not in captured.out
 
 
-def test_verify_beta_inverse_overflow_is_one_line_error(tmp_path, capsys):
-    # At J = 1e308 the relative-degree probe passes, but beta_inv overflows.
-    cfg_path = tmp_path / "extreme.cfg"
-    cfg_path.write_text("plant.j = 1e308\n")
-    rc = run_cli(["verify", str(cfg_path)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err == "error: beta inverse check left the float range\n"
-    assert "beta_inverse_pass" not in captured.out
-
-
-def test_verify_beta_inverse_nan_in_last_entry_is_one_line_error(monkeypatch, capsys):
-    # Only the last products read the NaN, and max() passes over a NaN
-    # that is not its first argument, so every entry is tested.
-    def nan_last(chi, m, j):
-        first, (i21, _) = linearizer.beta_inv(chi, m, j)
-        return first, (i21, float("nan"))
-
-    monkeypatch.setattr(verify, "beta_inv", nan_last)
-    rc = run_cli(["verify"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err == "error: beta inverse check left the float range\n"
-    assert "beta_inverse_pass" not in captured.out
-
-
 @pytest.mark.parametrize("t_end", ["4.995", "2.003"])
 def test_verify_skips_the_off_grid_last_row(tmp_path, capsys, t_end):
     # simulate logs its last step, here 5 or 3 ms after the last 10 ms grid
@@ -749,6 +744,7 @@ _PLANT_VALUE = st.one_of(
 
 @settings(derandomize=True, database=None, max_examples=6, deadline=None)
 @given(_PLANT_VALUE, _PLANT_VALUE, st.floats(0.1, 30.0))
+@example(m=1.0, j=1e308, g=9.81)
 def test_verify_on_generated_plants_ends_cleanly(workdir, m, j, g):
     cfg = workdir / "plant.cfg"
     cfg.write_text(f"plant.m = {m!r}\nplant.j = {j!r}\nplant.g = {g!r}\nsim.t_end = 0.6\n")
@@ -756,3 +752,6 @@ def test_verify_on_generated_plants_ends_cleanly(workdir, m, j, g):
     _assert_clean_end(rc, err)
     # exit 1 is either an error line or a failed oracle's verdict
     assert rc == 0 or err.startswith("error: ") or "all_pass: false" in out
+    if (m, j) == (1.0, 1e308):  # the relative-degree probe passes; the closed-loop run misses v
+        assert (rc, err) == (1, "")
+        assert "closed_loop_identity_pass: false" in out.splitlines()

@@ -34,8 +34,6 @@ VERIFY = """\
 relative_degree_lower_order_max: 3.061322e-09
 relative_degree_k3_rel_err_max: 2.428380e-07
 relative_degree_pass: true
-beta_inverse_max_err: 3.330669e-16
-beta_inverse_pass: true
 closed_loop_fourth_derivative_rel_err: 1.820371e-05
 closed_loop_identity_pass: true
 all_pass: true
