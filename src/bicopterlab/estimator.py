@@ -4,7 +4,7 @@ The rigid-body dynamics are linear in theta = (1/m, 1/J):
 
     x_dot - Psi(x) = Phi(x, u) theta,
 
-    Psi = (x[3], x[4], x[5], 0, -g, 0)
+    Psi = (x[3], x[4], x[5], 0, -G, 0)
     Phi = rows 0-2: (0, 0)
           row 3:    (-sin(x[2]) u[0], 0)
           row 4:    ( cos(x[2]) u[0], 0)
@@ -39,6 +39,7 @@ from dataclasses import dataclass, fields
 from math import cos, sin
 
 from .errors import ValidationError, check_field
+from .model import G
 
 __all__ = [
     "EstimatorConfig",
@@ -81,25 +82,25 @@ class EstimatorConfig:
             raise ValidationError("EstimatorConfig.alpha2 must be > 1")
 
 
-def regressor(x, u, g: float) -> tuple:
+def regressor(x, u) -> tuple:
     """Nonzero entries of Psi and Phi in the parameter rows 3-5.
 
-    Returns (psi4, phi) with psi4 = Psi[4] = -g and
+    Returns (psi4, phi) with psi4 = Psi[4] = -G and
     phi = (Phi[3][0], Phi[4][0], Phi[5][1]). Rows 0-2 of Psi repeat
     x[3:6] and never reach the estimate; Psi[3] = Psi[5] = 0.
     """
     s3, c3 = sin(x[2]), cos(x[2])
-    return -g, (-s3 * u[0], c3 * u[0], u[1])
+    return -G, (-s3 * u[0], c3 * u[0], u[1])
 
 
-def filter_deriv(z, x, u, g: float, gamma: float) -> tuple:
+def filter_deriv(z, x, u, gamma: float) -> tuple:
     """Derivatives of the live filter states.
 
     z = (z1[3], z1[4], z1[5], z2[4], zphi[3][0], zphi[4][0], zphi[5][1]):
     z1 filters x, z2 filters Psi and zphi filters Phi, each by
     1/(s + gamma) from zero.
     """
-    psi4, phi = regressor(x, u, g)
+    psi4, phi = regressor(x, u)
     return (
         -gamma * z[0] + x[3],
         -gamma * z[1] + x[4],

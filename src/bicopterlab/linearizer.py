@@ -22,7 +22,7 @@ from math import cos, inf, isfinite, sin, sqrt
 from operator import add, mul
 
 from .errors import IllConditioned, NonFiniteState, SingularThrust
-from .model import PlantParams, extended_deriv, rk4_step
+from .model import G, PlantParams, extended_deriv, rk4_step
 
 __all__ = [
     "U_MIN",
@@ -96,12 +96,8 @@ def iol_w(chi, v, m: float, j: float) -> tuple:
     )
 
 
-def xi_of_chi(chi, m: float, g: float) -> tuple:
-    """Integrator-chain coordinates (pos, vel, acc, jerk) per output axis.
-
-    Gravity g is treated as exactly known; only mass and inertia are
-    estimated.
-    """
+def xi_of_chi(chi, m: float) -> tuple:
+    """Integrator-chain coordinates (pos, vel, acc, jerk) per axis; G is exact, m an estimate."""
     s3, c3 = sin(chi[2]), cos(chi[2])
     x6, x7, x8 = chi[5], chi[6], chi[7]
     return (
@@ -111,7 +107,7 @@ def xi_of_chi(chi, m: float, g: float) -> tuple:
         (-c3 * x7 * x6 - s3 * x8) / m,
         chi[1],
         chi[4],
-        -g + c3 * x7 / m,
+        -G + c3 * x7 / m,
         (-s3 * x7 * x6 + c3 * x8) / m,
     )
 

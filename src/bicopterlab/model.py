@@ -1,6 +1,6 @@
 """Planar bicopter rigid-body model and its dynamically extended form.
 
-The vehicle moves in a vertical plane with state
+The vehicle moves in a vertical plane, under gravity G, with state
 
     x = (r1, r2, theta, r1_dot, r2_dot, theta_dot),
 
@@ -30,14 +30,15 @@ __all__ = [
     "rk4_step",
 ]
 
+G = 9.81  # gravity (m/s^2): exactly known to the controller, which estimates only m and J
+
 
 @dataclass(frozen=True)
 class PlantParams:
-    """True physical constants of the simulated vehicle (SI units)."""
+    """True mass and inertia of the simulated vehicle (SI units), the two the estimator learns."""
 
     m: float = 1.0
     J: float = 0.05
-    g: float = 9.81
 
     def __post_init__(self):
         for f in fields(self):
@@ -57,7 +58,7 @@ def extended_deriv(chi, w, p: PlantParams) -> tuple:
         chi[4],
         chi[5],
         -chi[6] * s3 / p.m,
-        -p.g + chi[6] * c3 / p.m,
+        -G + chi[6] * c3 / p.m,
         w[1] / p.J,
         chi[7],
         w[0],

@@ -59,7 +59,7 @@ from .estimator import (  # noqa: F401
     params_from_theta,
 )
 from .linearizer import U_MIN, _guarded_thrust, iol_w, xi_of_chi  # noqa: F401
-from .model import PlantParams, extended_deriv, rk4_step  # noqa: F401
+from .model import G, PlantParams, extended_deriv, rk4_step  # noqa: F401
 from .tracker import place_gains, tracking_v  # noqa: F401
 from .trajectory import EllipseSpec, ellipse_ref, hilbert_ref
 
@@ -161,7 +161,7 @@ class SimConfig:
             sx, sy = self.traj.start()
             x = (sx, sy, 0.0, 0.0, 0.0, 0.0)
         theta = self.theta0 if self.adaptive else self.theta_true
-        chi = [*x, self.plant.g / theta[0], 0.0]
+        chi = [*x, G / theta[0], 0.0]
         return [*chi, *theta] + [0.0] * (N_STATE - _FILTERS.start) if self.adaptive else chi
 
 
@@ -248,7 +248,7 @@ def _closed_loop(cfg: SimConfig) -> tuple:
     lists them, and the calls kept), so the rows are theirs bit for bit. A
     known run inverts theta_true once, here.
     """
-    g, pm, pj = cfg.plant.g, cfg.plant.m, cfg.plant.J
+    g, pm, pj = G, cfg.plant.m, cfg.plant.J
     est = cfg.est
     gamma, lam = est.gamma, est.forgetting
     k0, k1, k2, k3 = cfg.gains
@@ -260,7 +260,7 @@ def _closed_loop(cfg: SimConfig) -> tuple:
 
     def law(chi, m, j, t):
         """(w1, w2, sin, cos of chi[2], xi, xd, v1, v2) at the estimates m and j."""
-        xi = xi_of_chi(chi, m, g)
+        xi = xi_of_chi(chi, m)
         xd, ff = ref(t, traj)
         x6, x7, x8 = chi[5], chi[6], chi[7]
         if abs(x7) < U_MIN:

@@ -86,7 +86,7 @@ def _check_closed_loop_identity(cfg: SimConfig, emit) -> bool:
     It flies the default ellipse: v jumps at each Hilbert corner, and no
     stencil spans a jump.
     """
-    every = max(1, round(STENCIL_STEP / cfg.dt))
+    every = max(1, round(min(STENCIL_STEP / cfg.dt, MAX_STEPS)))
     t_end = STENCIL_INTERVALS * every * cfg.dt
     if not isfinite(t_end):
         raise ValidationError(

@@ -1,5 +1,6 @@
 """Every config value passes `errors.check_field`: the message of each single fault."""
 
+from dataclasses import fields
 from math import inf, nan
 
 import pytest
@@ -20,7 +21,6 @@ ANY_POSITIVE = (FINITE, FINITE, FINITE, POSITIVE, POSITIVE)
 SCALARS = [
     (PlantParams, "m", ANY_POSITIVE),
     (PlantParams, "J", ANY_POSITIVE),
-    (PlantParams, "g", ANY_POSITIVE),
     (EstimatorConfig, "c1", ANY_POSITIVE),
     (EstimatorConfig, "c2", ANY_POSITIVE),
     (EstimatorConfig, "alpha1", (FINITE,) * 3 + ("must lie in (0, 1)",) * 2),
@@ -80,3 +80,12 @@ def test_length_is_checked_before_entries():
     with pytest.raises(ValidationError, match=r"^SimConfig\.theta0 must have 2 entries$"):
         SimConfig(theta0=(nan,))
 
+
+def test_the_fault_tables_name_every_numeric_field():
+    # poles is checked by place_gains, adaptive is a flag, plant, est and traj are sections
+    skipped = {"SimConfig.poles", "SimConfig.adaptive", "SimConfig.plant", "SimConfig.est",
+               "SimConfig.traj"}
+    tabled = {f"{row[0].__name__}.{row[1]}" for row in SCALARS + TUPLES} | {"SimConfig.log_every"}
+    configs = (PlantParams, EstimatorConfig, EllipseSpec, HilbertSpec, SimConfig)
+    every = {f"{cls.__name__}.{f.name}" for cls in configs for f in fields(cls)}
+    assert tabled == every - skipped

@@ -364,11 +364,15 @@ def test_verify_passes_at_the_configs_step(tmp_path, capsys, text):
     assert capsys.readouterr().out.endswith("closed_loop_identity_pass: true\nall_pass: true\n")
 
 
-def test_verify_too_fine_a_step_names_the_oracle(tmp_path, capsys):
+@pytest.mark.parametrize("dt, t_end", [
+    ("4e-6", "1"), ("5e-324", "5e-324"), ("1e-320", "1e-320"), ("1e-310", "1e-310"),
+])
+def test_verify_too_fine_a_step_names_the_oracle(tmp_path, capsys, dt, t_end):
     # The run itself fits the step budget; the oracle's 500 log intervals
-    # of 2500 steps each do not.
+    # of 2500 steps each do not. A subnormal step's log interval would take
+    # more steps than a float or an int can count.
     cfg_path = tmp_path / "fine.cfg"
-    cfg_path.write_text("sim.dt = 4e-6\nsim.t_end = 1\n")
+    cfg_path.write_text(f"sim.dt = {dt}\nsim.t_end = {t_end}\n")
     rc = run_cli(["verify", str(cfg_path)])
     err = capsys.readouterr().err
     assert rc == 1
@@ -586,9 +590,9 @@ def test_non_utf8_config_ends_as_one_line_error(tmp_path, capsys, command):
     assert err.startswith("error: line 1: unknown key ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key", ["estimator.eps", "estimator.theta_floor"])
-def test_estimator_guards_are_no_config_keys(tmp_path, capsys, key):
-    # DEAD_ZONE and THETA_FLOOR are constants of the estimator module.
+@pytest.mark.parametrize("key", ["estimator.eps", "estimator.theta_floor", "plant.g"])
+def test_model_constants_are_no_config_keys(tmp_path, capsys, key):
+    # DEAD_ZONE and THETA_FLOOR are constants of the estimator module, G of the model.
     cfg_path = tmp_path / "guard.cfg"
     cfg_path.write_text(f"{key} = 1e-6\n")
     rc = run_cli(["simulate", str(cfg_path), str(tmp_path / "out.csv")])
@@ -743,11 +747,11 @@ _PLANT_VALUE = st.one_of(
 
 
 @settings(derandomize=True, database=None, max_examples=6, deadline=None)
-@given(_PLANT_VALUE, _PLANT_VALUE, st.floats(0.1, 30.0))
-@example(m=1.0, j=1e308, g=9.81)
-def test_verify_on_generated_plants_ends_cleanly(workdir, m, j, g):
+@given(_PLANT_VALUE, _PLANT_VALUE)
+@example(m=1.0, j=1e308)
+def test_verify_on_generated_plants_ends_cleanly(workdir, m, j):
     cfg = workdir / "plant.cfg"
-    cfg.write_text(f"plant.m = {m!r}\nplant.j = {j!r}\nplant.g = {g!r}\nsim.t_end = 0.6\n")
+    cfg.write_text(f"plant.m = {m!r}\nplant.j = {j!r}\nsim.t_end = 0.6\n")
     rc, out, err = _invoke(["verify", str(cfg)])
     _assert_clean_end(rc, err)
     # exit 1 is either an error line or a failed oracle's verdict

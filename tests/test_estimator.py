@@ -17,7 +17,7 @@ from bicopterlab.estimator import (
     params_from_theta,
     regressor,
 )
-from bicopterlab.model import PlantParams, extended_deriv
+from bicopterlab.model import G, PlantParams, extended_deriv
 from bicopterlab.sim import rk4_step
 
 CFG = EstimatorConfig()
@@ -70,7 +70,7 @@ def test_regressor_identity():
         p = PlantParams(m=rng.uniform(0.5, 3.0), J=rng.uniform(0.01, 0.2))
         x = tuple(rng.normal(size=6))
         u = tuple(rng.normal(size=2) * 5.0)
-        psi4, phi = regressor(x, u, p.g)
+        psi4, phi = regressor(x, u)
         dx = plant_deriv(x, u, p)
         theta = (1.0 / p.m, 1.0 / p.J)
         assert dx[3] == pytest.approx(phi[0] * theta[0], rel=1e-12, abs=1e-12)
@@ -79,14 +79,14 @@ def test_regressor_identity():
 
 
 def test_regressor_rows():
-    psi4, phi = regressor((0.0,) * 6, (5.0, 0.2), 9.81)
+    psi4, phi = regressor((0.0,) * 6, (5.0, 0.2))
     assert psi4 == -9.81
     assert phi == (0.0, 5.0, 0.2)  # Phi[3][0] = -sin(0) u1
 
 
 def test_regressor_no_excitation():
     rng = np.random.default_rng(22)
-    _, phi = regressor(tuple(rng.normal(size=6)), (0.0, 0.0), 9.81)
+    _, phi = regressor(tuple(rng.normal(size=6)), (0.0, 0.0))
     assert phi == (0.0, 0.0, 0.0)
 
 
@@ -94,12 +94,11 @@ def test_filter_first_order_response():
     # Constant regressor entries filtered by 1/(s + 10) follow the
     # closed-form step response (1 - e^{-10 t}) / 10.
     gamma = 10.0
-    g = 9.81
     x = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     u = (0.0, 1.0)  # unit torque puts a 1 in Phi[5][1]
 
     def deriv(z, t):
-        return filter_deriv(z, x, u, g, gamma)
+        return filter_deriv(z, x, u, gamma)
 
     z = [0.0] * 7
     dt = 1e-4
@@ -107,7 +106,7 @@ def test_filter_first_order_response():
         z = rk4_step(z, i * dt, dt, deriv)
     step = (1.0 - np.exp(-gamma * 0.5)) / gamma
     assert z[6] == pytest.approx(step, rel=1e-9)
-    assert z[3] == pytest.approx(-g * step, rel=1e-9)  # Psi[4] = -g
+    assert z[3] == pytest.approx(-G * step, rel=1e-9)  # Psi[4] = -G
     assert z[0:3] == [0.0, 0.0, 0.0] and z[4:6] == [0.0, 0.0]
 
 

@@ -142,13 +142,13 @@ def test_iol_w_matches_matrix_product():
 
 def test_xi_hover():
     chi = (3.0, -2.0, 0.0, 0.0, 0.0, 0.0, M_TRUE * 9.81, 0.0)
-    xi = xi_of_chi(chi, M_TRUE, 9.81)
+    xi = xi_of_chi(chi, M_TRUE)
     assert xi == pytest.approx((3.0, 0.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0), abs=1e-15)
 
 
 def test_xi_quarter_turn():
     chi = (0.0, 0.0, np.pi / 2, 0.0, 0.0, 1.0, 2.0, 0.0)
-    xi = xi_of_chi(chi, M_TRUE, 9.81)
+    xi = xi_of_chi(chi, M_TRUE)
     assert xi[2] == pytest.approx(-2.0, abs=1e-12)
     assert xi[3] == pytest.approx(0.0, abs=1e-12)
     assert xi[6] == pytest.approx(-9.81, abs=1e-12)
@@ -160,7 +160,7 @@ def test_xi_thrust_magnitude_identity():
     for _ in range(100):
         chi = _random_chi(rng)
         m, _ = _random_mj(rng)
-        xi = xi_of_chi(chi, m, 9.81)
+        xi = xi_of_chi(chi, m)
         lhs = xi[2] ** 2 + (xi[6] + 9.81) ** 2
         assert lhs == pytest.approx((chi[6] / m) ** 2, rel=1e-12)
 
@@ -186,7 +186,7 @@ def test_xi_matches_numeric_output_derivatives():
     rng = np.random.default_rng(31)
     for _ in range(5):
         chi = _random_chi(rng, lo=5.0, hi=15.0)
-        xi = xi_of_chi(chi, M_TRUE, p.g)
+        xi = xi_of_chi(chi, M_TRUE)
         d = _output_time_derivs(chi, p)
         # rows: derivative orders 0..3 of (y1, y2)
         assert d[1][0] == pytest.approx(xi[1], rel=1e-6, abs=1e-6)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bicopterlab.errors import ValidationError
-from bicopterlab.model import PlantParams, extended_deriv
+from bicopterlab.model import G, PlantParams, extended_deriv
 from bicopterlab.sim import rk4_step
 
 P = PlantParams()
@@ -24,21 +24,21 @@ def plant_deriv(x, u, p: PlantParams) -> tuple:
         x[4],
         x[5],
         -u[0] * s3 / p.m,
-        -p.g + u[0] * c3 / p.m,
+        -G + u[0] * c3 / p.m,
         u[1] / p.J,
     )
 
 
 def test_params_validation():
     inf = float("inf")
-    for bad in (dict(m=-1.0), dict(J=0.0), dict(g=0.0), dict(m=inf), dict(J=inf)):
+    for bad in (dict(m=-1.0), dict(J=0.0), dict(m=inf), dict(J=inf)):
         with pytest.raises(ValidationError):
             PlantParams(**bad)
 
 
 def test_hover_equilibrium():
     x = (0.0,) * 6
-    assert plant_deriv(x, (P.m * P.g, 0.0), P) == (0.0,) * 6
+    assert plant_deriv(x, (P.m * G, 0.0), P) == (0.0,) * 6
 
 
 def test_free_fall():
@@ -56,7 +56,7 @@ def test_tilted_thrust():
 
 
 def test_extended_hover():
-    chi = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, P.m * P.g, 0.0)
+    chi = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, P.m * G, 0.0)
     assert extended_deriv(chi, (0.0, 0.0), P) == (0.0,) * 8
 
 
@@ -98,7 +98,7 @@ def test_thrust_sign_flips_under_half_turn():
         b = plant_deriv(tuple(x), u, P)
         # gravity stays, the thrust contribution reverses
         assert b[3] == pytest.approx(-a[3], abs=1e-12)
-        assert b[4] + P.g == pytest.approx(-(a[4] + P.g), abs=1e-12)
+        assert b[4] + G == pytest.approx(-(a[4] + G), abs=1e-12)
 
 
 def test_ballistic_invariants():
@@ -111,5 +111,5 @@ def test_ballistic_invariants():
         y = rk4_step(y, i * dt, dt, lambda s, t: plant_deriv(s, (0.0, 0.0), P))
     assert y[5] == pytest.approx(x[5], rel=1e-9)
     assert y[3] == pytest.approx(x[3], rel=1e-9)
-    assert y[4] == pytest.approx(x[4] - P.g * 1.0, rel=1e-9)
+    assert y[4] == pytest.approx(x[4] - G * 1.0, rel=1e-9)
     assert y[2] == pytest.approx(x[2] + x[5] * 1.0, rel=1e-9)

@@ -27,7 +27,7 @@ from bicopterlab.estimator import (
     params_from_theta,
 )
 from bicopterlab.linearizer import U_MIN, iol_w, xi_of_chi
-from bicopterlab.model import PlantParams, extended_deriv
+from bicopterlab.model import G, PlantParams, extended_deriv
 from bicopterlab.sim import (
     COLUMNS,
     MAX_STEPS,
@@ -129,7 +129,7 @@ def test_closed_loop_deriv_equilibrium():
     cfg = SimConfig(traj=HilbertSpec(), t_end=40.0, adaptive=False, theta0=(1.0, 20.0),
                     x0=(3.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     y = cfg.initial_state()
-    assert y[0:8] == [3.0, 0.0, 0.0, 0.0, 0.0, 0.0, cfg.plant.m * cfg.plant.g, 0.0]
+    assert y[0:8] == [3.0, 0.0, 0.0, 0.0, 0.0, 0.0, cfg.plant.m * G, 0.0]
     d = _closed_loop(cfg)[0](y, 35.0)
     assert len(y) == len(d) == 8
     assert np.asarray(d) == pytest.approx(np.zeros(8), abs=1e-12)
@@ -155,8 +155,8 @@ def test_initial_state_length_follows_adaptation():
     adaptive = SimConfig(plant=plant).initial_state()
     known = SimConfig(plant=plant, adaptive=False).initial_state()
     assert len(known) == 8
-    assert adaptive[6] == plant.g / 2.0
-    assert known == adaptive[:6] + [plant.g / (1.0 / 1.5), 0.0]
+    assert adaptive[6] == G / 2.0
+    assert known == adaptive[:6] + [G / (1.0 / 1.5), 0.0]
 
 
 def test_known_kernel_is_the_adaptive_kernel_on_chi():
@@ -184,7 +184,7 @@ def _layered_loop(cfg):
 
     def control(chi, theta, t):
         m_hat, j_hat = params_from_theta(theta)
-        xi = xi_of_chi(chi, m_hat, p.g)
+        xi = xi_of_chi(chi, m_hat)
         des = ref(t, traj)
         v = tracking_v(xi, des, cfg.gains)
         return xi, des, v, iol_w(chi, v, m_hat, j_hat)
@@ -194,7 +194,7 @@ def _layered_loop(cfg):
             return extended_deriv(y, control(y, cfg.theta_true, t)[3], p)
         chi, theta, z, xbar, phibar = y[0:8], y[8:10], y[10:17], y[17:19], y[19:21]
         w = control(chi, theta, t)[3]
-        dz = filter_deriv(z, chi[0:6], (chi[6], w[1]), p.g, est.gamma)
+        dz = filter_deriv(z, chi[0:6], (chi[6], w[1]), est.gamma)
         x_f, phi_f = filter_outputs(z, chi[0:6], est.gamma)
         dxbar, dphibar = data_matrix_deriv(xbar, phibar, x_f, phi_f, est.forgetting)
         dtheta = estimate_deriv(theta, xbar, phibar, est)

@@ -10,22 +10,24 @@ H = (r1, r2). sympy differentiates them exactly:
     per axis wherever the thrust is nonzero, proved rather than probed;
   * alpha = L_F^4 H, beta = L_G L_F^3 H and xi = (L_F^k H, k = 0..3) per
     axis are what `alpha`, `beta` and `xi_of_chi` compute, and F + G w is
-    what `extended_deriv` computes, to 1e-14 relative on random states.
+    what `extended_deriv` computes, to 1e-14 relative on random states at
+    the model's gravity `model.G`.
 """
 
 import numpy as np
 import sympy as sp
 
+from bicopterlab import model
 from bicopterlab.linearizer import alpha, beta, xi_of_chi
 from bicopterlab.model import PlantParams, extended_deriv
 
 CHI = sp.symbols("r1 r2 theta dr1 dr2 dtheta u1 du1", real=True)
-M, J, G = sp.symbols("m J g", positive=True)
+M, J, GRAV = sp.symbols("m J g", positive=True)
 W = sp.symbols("w1 w2", real=True)
 
 r1, r2, th, dr1, dr2, dth, u1, du1 = CHI
 # Newton-Euler in the plane: thrust u1 along the body vertical, torque w2.
-F = sp.Matrix([dr1, dr2, dth, -u1 * sp.sin(th) / M, -G + u1 * sp.cos(th) / M, 0, du1, 0])
+F = sp.Matrix([dr1, dr2, dth, -u1 * sp.sin(th) / M, -GRAV + u1 * sp.cos(th) / M, 0, du1, 0])
 G1 = sp.Matrix([0, 0, 0, 0, 0, 0, 0, 1])
 G2 = sp.Matrix([0, 0, 0, 0, 0, 1 / J, 0, 0])
 H = (r1, r2)
@@ -57,7 +59,7 @@ def test_decoupling_matrix_is_invertible_away_from_zero_thrust():
 
 
 def _lambdify(exprs):
-    return sp.lambdify([CHI, M, J, G, W], list(exprs), modules="math")
+    return sp.lambdify([CHI, M, J, GRAV, W], list(exprs), modules="math")
 
 
 SYM_ALPHA = _lambdify(LF[i][4] for i in range(2))
@@ -72,7 +74,7 @@ def _states(n=200):
         chi = list(rng.normal(size=8))
         chi[6] = rng.uniform(1.0, 20.0) * rng.choice((-1.0, 1.0))
         m, j = 1.0 / rng.uniform(0.5, 3.0), 1.0 / rng.uniform(5.0, 40.0)
-        yield tuple(chi), m, j, rng.uniform(1.0, 20.0), tuple(rng.normal(size=2))
+        yield tuple(chi), m, j, tuple(rng.normal(size=2))
 
 
 def _assert_close(got, want):
@@ -81,9 +83,9 @@ def _assert_close(got, want):
 
 
 def test_closed_forms_match_the_lie_derivatives():
-    for chi, m, j, g, w in _states():
-        args = (chi, m, j, g, w)
+    for chi, m, j, w in _states():
+        args = (chi, m, j, model.G, w)
         _assert_close(alpha(chi, m), SYM_ALPHA(*args))
         _assert_close(beta(chi, m, j), SYM_BETA(*args))
-        _assert_close(xi_of_chi(chi, m, g), SYM_XI(*args))
-        _assert_close(extended_deriv(chi, w, PlantParams(m=m, J=j, g=g)), SYM_DERIV(*args))
+        _assert_close(xi_of_chi(chi, m), SYM_XI(*args))
+        _assert_close(extended_deriv(chi, w, PlantParams(m=m, J=j)), SYM_DERIV(*args))
