@@ -12,12 +12,9 @@ the entry points the demos use; every other name lives in its own module.
 
 from .errors import (
     BicopterError,
-    EmptySeries,
-    IllConditioned,
     NonFiniteState,
     ParseError,
     SingularThrust,
-    UnstablePoleRequest,
     ValidationError,
 )
 from .estimator import EstimatorConfig

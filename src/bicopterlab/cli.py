@@ -14,9 +14,9 @@ theirs.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import fields, is_dataclass
-from math import radians
 
 from .errors import BicopterError, ParseError, ValidationError
 from .estimator import EstimatorConfig
@@ -60,7 +60,6 @@ _SECTIONS = {
 _RENAMED = {
     "estimator.forgetting": ("estimator.lambda", float),
     "sim.poles": ("gains.poles", _parse_floats),
-    "trajectory.phi": ("trajectory.phi_deg", lambda raw: radians(float(raw))),
 }
 
 
@@ -124,6 +123,13 @@ def _load_config(path: str | None) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
+    out, out_dir = args.out, os.path.dirname(args.out) or "."  # a bad OUT fails before the run
+    if os.path.isdir(out or "."):
+        raise OSError(f"cannot write {out!r}: it is a directory")
+    if not os.path.isdir(out_dir):
+        raise OSError(f"cannot write {out!r}: no directory {out_dir!r}")
+    if not os.access(out if os.path.exists(out) else out_dir, os.W_OK):
+        raise OSError(f"cannot write {out!r}: permission denied")
     ts = simulate(cfg)
     ts.to_csv(args.out)
     for line in summarize(ts).lines():

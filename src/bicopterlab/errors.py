@@ -1,4 +1,4 @@
-"""Library exception types, and `check_field`: every config dataclass checks its values with it."""
+"""The five library exception types, and `check_field`, which every config dataclass calls."""
 
 from math import isfinite
 
@@ -12,15 +12,8 @@ class SingularThrust(BicopterError):
 
 
 class NonFiniteState(BicopterError):
-    """An integration step produced a NaN or infinite state entry."""
-
-
-class IllConditioned(BicopterError):
-    """A finite-difference stencil overflowed or lost all precision."""
-
-
-class EmptySeries(BicopterError):
-    """A metrics computation was asked to summarize an empty time series."""
+    """A computation left the float range: a run's state or rate, or an oracle's flow
+    or stencil."""
 
 
 class ParseError(BicopterError):
@@ -32,10 +25,6 @@ class ParseError(BicopterError):
 
 class ValidationError(BicopterError):
     """A parsed value violates an invariant (e.g. a mass that is not positive)."""
-
-
-class UnstablePoleRequest(ValidationError):
-    """A requested closed-loop pole has a nonnegative real part."""
 
 
 def check_field(obj, name: str, positive: bool = False, size: int | None = None) -> None:

@@ -21,7 +21,7 @@ from functools import reduce
 from math import cos, inf, isfinite, sin, sqrt
 from operator import add, mul
 
-from .errors import IllConditioned, NonFiniteState, SingularThrust
+from .errors import NonFiniteState, SingularThrust
 from .model import G, PlantParams, extended_deriv, rk4_step
 
 __all__ = [
@@ -147,7 +147,7 @@ def _drift_flow_output(chi, p: PlantParams, t: float) -> tuple:
         for i in range(_FLOW_SUBSTEPS):
             y = rk4_step(y, i * h, h, drift)
     except NonFiniteState as exc:
-        raise IllConditioned("drift flow diverged inside the stencil") from exc
+        raise NonFiniteState("drift flow diverged inside the stencil") from exc
     return (y[0], y[1])
 
 
@@ -195,7 +195,7 @@ def lie_relative_degree_check(chi, p: PlantParams) -> RelativeDegreeReport:
     the order-3 derivatives are linear in chi6 and chi8, so the
     perturbation can be large, which keeps the divided stencil noise far
     below the tolerance. Raises SingularThrust below U_MIN, like the
-    inversions, and IllConditioned when the probe leaves the float range.
+    inversions, and NonFiniteState when the probe leaves the float range.
     """
     _guarded_thrust(chi)
 
@@ -226,6 +226,6 @@ def lie_relative_degree_check(chi, p: PlantParams) -> RelativeDegreeReport:
     # a non-finite derivative in `scale` leaves one in `num` too.
     finite = all(isfinite(v) for rows in num for row in rows for v in row) and isfinite(rel)
     if not (finite and 0.0 < b_norm < inf):
-        raise IllConditioned("relative-degree probe left the float range: k3, beta or |beta|")
+        raise NonFiniteState("relative-degree probe left the float range: k3, beta or |beta|")
     passed = all(lower[k] < 1e-6 for k in range(3)) and rel < 1e-4
     return RelativeDegreeReport(lower, k3, b, rel, passed)

@@ -40,7 +40,6 @@ from functools import cached_property
 from math import cos, fsum, hypot, inf, isfinite, sin, sqrt
 
 from .errors import (
-    EmptySeries,
     NonFiniteState,
     ParseError,
     SingularThrust,
@@ -374,7 +373,7 @@ def summarize(ts: TimeSeries) -> Metrics:
     pos_rmse is the root of the math.fsum mean of the squared error norms from RMSE_T_START on.
     """
     if not ts.data:
-        raise EmptySeries("cannot summarize an empty time series")
+        raise ValidationError("cannot summarize an empty time series")
     t, e1, e2 = ts.view("t"), ts.view("pos_err1"), ts.view("pos_err2")
     t0 = min(RMSE_T_START, t[-1])
     norms = array("d", (p for p, tt in zip(map(hypot, e1, e2), t) if tt >= t0))

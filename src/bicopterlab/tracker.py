@@ -18,7 +18,7 @@ axis (2 floats).
 
 from cmath import isfinite
 
-from .errors import UnstablePoleRequest, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "brunovsky_matrices",
@@ -55,7 +55,7 @@ def place_gains(poles) -> tuple:
         if not isfinite(s):
             raise ValidationError(f"pole {s} is not finite")
         if s.real >= 0.0:
-            raise UnstablePoleRequest(f"pole {s} has nonnegative real part")
+            raise ValidationError(f"pole {s} has nonnegative real part")
     conj_sorted = sorted(poles, key=lambda s: (s.real, s.imag))
     paired = sorted((s.conjugate() for s in poles), key=lambda s: (s.real, s.imag))
     if any(abs(a - b) > 1e-12 * max(1.0, abs(a)) for a, b in zip(conj_sorted, paired)):

@@ -34,26 +34,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EllipseSpec:
-    """Ellipse with semi-axes (a, b), tilted by phi, traversed at rate omega.
+    """Ellipse with semi-axes (a, b), tilted by phi_deg degrees, traversed at rate omega.
 
-    The path starts at the origin: its center sits at a*(cos phi, sin phi)
-    and the position at t = 0 is (0, 0).
+    The path starts at the origin: its center sits at a*(cos phi, sin phi),
+    phi = radians(phi_deg), and the position at t = 0 is (0, 0).
     """
 
     a: float = 5.0
     b: float = 3.0
-    phi: float = radians(45.0)
+    phi_deg: float = 45.0
     omega: float = 1.0
     duration = 20.0  # s, the run length of a SimConfig that sets no t_end
     duration_rule = "EllipseSpec.duration"  # how a fault of that length names it
 
     def __post_init__(self):
-        for name in ("a", "b", "phi", "omega"):
-            check_field(self, name, positive=name != "phi")
+        for name in ("a", "b", "phi_deg", "omega"):
+            check_field(self, name, positive=name != "phi_deg")
 
     @property
     def center(self) -> tuple:
-        return (self.a * cos(self.phi), self.a * sin(self.phi))
+        phi = radians(self.phi_deg)
+        return (self.a * cos(phi), self.a * sin(phi))
 
     def start(self) -> tuple:
         return (0.0, 0.0)
@@ -61,7 +62,8 @@ class EllipseSpec:
     @cached_property
     def _table(self) -> tuple:
         """(c1, c2, A1, B1, A2, B2, w, -w*w, w**3, w**4) of ellipse_ref."""
-        cphi, sphi = cos(self.phi), sin(self.phi)
+        phi = radians(self.phi_deg)
+        cphi, sphi = cos(phi), sin(phi)
         w = self.omega
         return (
             *self.center,

@@ -29,7 +29,7 @@ SCALARS = [
     (EstimatorConfig, "gamma", ANY_POSITIVE),
     (EllipseSpec, "a", ANY_POSITIVE),
     (EllipseSpec, "b", ANY_POSITIVE),
-    (EllipseSpec, "phi", ANY_FINITE),
+    (EllipseSpec, "phi_deg", ANY_FINITE),
     (EllipseSpec, "omega", ANY_POSITIVE),
     (HilbertSpec, "size", ANY_POSITIVE),
     (HilbertSpec, "seg_time", ANY_POSITIVE),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import bicopterlab
 from bicopterlab.cli import _KEYS, parse_config, run_cli
-from bicopterlab.errors import BicopterError, ParseError, ValidationError
+from bicopterlab.errors import BicopterError, ParseError, SingularThrust, ValidationError
 from bicopterlab.sim import COLUMNS, SimConfig
 from bicopterlab.trajectory import EllipseSpec, HilbertSpec
 from test_cli_stdout import VERIFY
@@ -135,7 +135,7 @@ def test_gains_help_still_parses(capsys):
 def test_gains_command_rejects_unstable(capsys):
     rc = run_cli(["gains", "1", "-4", "-5", "-5.5"])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: pole (1+0j) has nonnegative real part\n"
 
 
 # -1e308 overflows the characteristic coefficients; -1e-200 underflows
@@ -192,6 +192,65 @@ def test_simulate_and_report_agree(tmp_path, capsys):
     header = out_path.read_text().splitlines()[0]
     assert header.startswith("t,r1,r2,theta")
     assert len(header.split(",")) == 34
+
+
+def _no_run(cfg):
+    raise AssertionError("simulate ran before OUT was checked")
+
+
+@pytest.mark.parametrize(
+    "out, reason",
+    [
+        ("missing/out.csv", "no directory '{dir}/missing'"),
+        ("cfg.txt/out.csv", "no directory '{dir}/cfg.txt'"),
+        ("", "it is a directory"),
+    ],
+    ids=["missing-dir", "under-a-file", "a-directory"],
+)
+def test_simulate_checks_out_before_the_run(tmp_path, capsys, monkeypatch, out, reason):
+    monkeypatch.setattr("bicopterlab.cli.simulate", _no_run)
+    (tmp_path / "cfg.txt").write_text("")
+    path = str(tmp_path / out)
+    rc = run_cli(["simulate", str(tmp_path / "cfg.txt"), path])
+    assert rc == 1
+    want = f"error: cannot write {path!r}: {reason.format(dir=tmp_path)}\n"
+    assert capsys.readouterr().err == want
+    assert os.listdir(tmp_path) == ["cfg.txt"]
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_simulate_checks_write_access_before_the_run(tmp_path, capsys, monkeypatch, exists):
+    # A read-only OUT or directory, faked: the superuser may write anywhere.
+    # An existing OUT needs write access itself, a new one its directory's.
+    asked = []
+
+    def denied(path, mode):
+        asked.append(path)
+        return False
+
+    monkeypatch.setattr("bicopterlab.cli.simulate", _no_run)
+    monkeypatch.setattr(os, "access", denied)
+    (tmp_path / "cfg.txt").write_text("")
+    out = tmp_path / "out.csv"
+    if exists:
+        out.write_text("old\n")
+    rc = run_cli(["simulate", str(tmp_path / "cfg.txt"), str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: cannot write {str(out)!r}: permission denied\n"
+    assert asked == [str(out) if exists else str(tmp_path)]
+
+
+def test_aborted_run_leaves_an_existing_out_alone(tmp_path, capsys, monkeypatch):
+    def aborted_run(cfg):
+        raise SingularThrust("aborted at step 0")
+
+    monkeypatch.setattr("bicopterlab.cli.simulate", aborted_run)
+    (tmp_path / "cfg.txt").write_text("")
+    (tmp_path / "out.csv").write_text("old\n")
+    rc = run_cli(["simulate", str(tmp_path / "cfg.txt"), str(tmp_path / "out.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: aborted at step 0\n"
+    assert (tmp_path / "out.csv").read_text() == "old\n"
 
 
 def test_known_run_needs_no_theta0_key(tmp_path, capsys):
@@ -426,6 +485,7 @@ _HILBERT_RULE = f"{_UNSET} HilbertSpec.duration = 15 * seg_time"
         ("trajectory.kind = hilbert\ntrajectory.seg_time = 1e308",
          f"SimConfig.t_end must be finite{_HILBERT_RULE} = inf s"),
         ("sim.dt = 30", f"SimConfig.t_end must be >= dt{_UNSET} EllipseSpec.duration = 20 s"),
+        ("gains.poles = 0.5, -4, -5, -5.5", "pole (0.5+0j) has nonnegative real part"),
     ],
 )
 def test_simulate_names_the_faulty_key(tmp_path, capsys, line, message):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bicopterlab.errors import UnstablePoleRequest, ValidationError
+from bicopterlab.errors import ValidationError
 from bicopterlab.sim import rk4_step
 from bicopterlab.sim import SimConfig
 from bicopterlab.tracker import brunovsky_matrices, place_gains, tracking_v
@@ -37,9 +37,9 @@ def test_place_gains_binomial():
 
 
 def test_place_gains_rejects_unstable():
-    with pytest.raises(UnstablePoleRequest):
+    with pytest.raises(ValidationError, match="nonnegative real part"):
         place_gains((0.0, -1.0, -2.0, -3.0))
-    with pytest.raises(UnstablePoleRequest):
+    with pytest.raises(ValidationError, match="nonnegative real part"):
         place_gains((-1.0, -2.0, -3.0, 0.5 + 1.0j))
 
 

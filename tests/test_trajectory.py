@@ -55,10 +55,11 @@ def test_ellipse_locus():
     # Unrotating about the center recovers the canonical 5 x 3 ellipse.
     spec = ELLIPSE
     c = np.asarray(spec.center)
+    phi = radians(spec.phi_deg)
     R = np.array(
         [
-            [np.cos(-spec.phi), -np.sin(-spec.phi)],
-            [np.sin(-spec.phi), np.cos(-spec.phi)],
+            [np.cos(-phi), -np.sin(-phi)],
+            [np.sin(-phi), np.cos(-phi)],
         ]
     )
     for t in np.linspace(0.0, 2.0 * np.pi, 97):
@@ -191,7 +192,8 @@ def _hilbert_ref_per_call(t, spec):
 def _ellipse_ref_per_call(t, spec):
     """Reference copy: every coefficient recomputed on every call."""
     w = spec.omega
-    cphi, sphi = cos(spec.phi), sin(spec.phi)
+    phi = radians(spec.phi_deg)
+    cphi, sphi = cos(phi), sin(phi)
     cw, sw = cos(w * t), sin(w * t)
     A1, B1 = -spec.a * cphi, -spec.b * sphi
     A2, B2 = -spec.a * sphi, spec.b * cphi
@@ -229,7 +231,7 @@ def test_hilbert_table_matches_per_call_interpolation(seed):
 
 @pytest.mark.parametrize("phi_deg, omega", [(45.0, 1.0), (-17.5, 0.73), (130.0, 2.4)])
 def test_ellipse_table_matches_per_call_formula(phi_deg, omega):
-    spec = EllipseSpec(a=4.2, b=2.6, phi=radians(phi_deg), omega=omega)
+    spec = EllipseSpec(a=4.2, b=2.6, phi_deg=phi_deg, omega=omega)
     for t in np.linspace(-1.0, 25.0, 401):
         t = float(t)
         assert _bits(ellipse_ref(t, spec)) == _bits(_ellipse_ref_per_call(t, spec)), t
