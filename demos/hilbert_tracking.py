@@ -12,7 +12,8 @@ import os
 
 import numpy as np
 
-from bicopterlab import HilbertSpec, SimConfig, hilbert_waypoints, simulate, summarize
+from bicopterlab import HilbertSpec, SimConfig, simulate, summarize
+from bicopterlab.trajectory import hilbert_waypoints
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 

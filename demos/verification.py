@@ -10,14 +10,10 @@ virtual input.
 
 import numpy as np
 
-from bicopterlab import (
-    PlantParams,
-    SimConfig,
-    brunovsky_matrices,
-    lie_relative_degree_check,
-    place_gains,
-    run_verification,
-)
+from bicopterlab import PlantParams, SimConfig
+from bicopterlab.linearizer import lie_relative_degree_check
+from bicopterlab.tracker import brunovsky_matrices, place_gains
+from bicopterlab.verify import run_verification
 
 
 def report_lines(report):

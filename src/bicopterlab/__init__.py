@@ -6,8 +6,9 @@ whose mass and inertia are estimated online by a finite-time gradient
 flow. Everything is deterministic fixed-step integration; see the README
 for the CLI and the demos/ scripts for narrative walkthroughs.
 
-The top level exports the config dataclasses, the errors, `TimeSeries` and
-the entry points the demos use; every other name lives in its own module.
+The top level is the run API: it exports what a run needs and nothing
+else, that is the config dataclasses, the errors, `TimeSeries`, `simulate`
+and `summarize`. Every other name is imported from its own module.
 """
 
 from .errors import (
@@ -18,11 +19,8 @@ from .errors import (
     ValidationError,
 )
 from .estimator import EstimatorConfig
-from .linearizer import lie_relative_degree_check
 from .model import PlantParams
 from .sim import SimConfig, TimeSeries, simulate, summarize
-from .tracker import brunovsky_matrices, place_gains
-from .trajectory import EllipseSpec, HilbertSpec, hilbert_waypoints
-from .verify import run_verification
+from .trajectory import EllipseSpec, HilbertSpec
 
 __version__ = "0.1.0"

@@ -56,11 +56,8 @@ _SECTIONS = {
     "sim": (SimConfig,),
 }
 
-# section.field -> (key, parser) for the keys that do not spell their field
-_RENAMED = {
-    "estimator.forgetting": ("estimator.lambda", float),
-    "sim.poles": ("gains.poles", _parse_floats),
-}
+# section.field -> key, for the keys that do not spell their field
+_RENAMED = {"estimator.forgetting": "estimator.lambda", "sim.poles": "gains.poles"}
 
 
 def _key_table() -> dict:
@@ -72,8 +69,7 @@ def _key_table() -> dict:
                 if is_dataclass(f.default):
                     continue  # SimConfig's plant, est and traj: sections of their own
                 name = f"{section}.{f.name}"
-                key, parse = _RENAMED.get(name, (name.lower(), _PARSERS[f.type]))
-                table[key] = (cls, f.name, parse)
+                table[_RENAMED.get(name, name.lower())] = (cls, f.name, _PARSERS[f.type])
     return table
 
 
@@ -138,9 +134,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gains(args) -> int:
+    k = place_gains(args.poles)  # bad poles fail before numpy is needed
     import numpy as np  # the one command that needs a matrix: eigvals checks the poles
 
-    k = place_gains(args.poles)
     for i, gain in enumerate(k, start=1):
         print(f"K{i}: {abs(gain):.17g}")
     A, B = brunovsky_matrices()

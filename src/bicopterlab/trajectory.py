@@ -10,11 +10,9 @@ genuinely nonsmooth.
 Each spec builds a table of the constants its reference needs on first
 use and keeps it for its lifetime: the ellipse's center, axis
 coefficients and powers of omega, and the Hilbert path's 15 segment rows
-plus its clamped end state. The table is computed with the same float
-operations, in the same order, as the per-call formulas it replaces, so
-the references are bit-identical to recomputing everything each call.
-It lives in the instance's __dict__ (`functools.cached_property`), not
-in a field, so it takes no part in __eq__, __hash__ or __repr__.
+plus its clamped end state. It lives in the instance's __dict__
+(`functools.cached_property`), not in a field, so it takes no part in
+__eq__, __hash__ or __repr__.
 """
 
 from dataclasses import dataclass

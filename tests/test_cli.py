@@ -47,12 +47,16 @@ def test_comments_and_overrides():
         estimator.c1 = 9
         sim.adaptive = false
         sim.theta0 = 1.0, 20.0
+        estimator.lambda = 40   # the two keys that do not spell their field
+        gains.poles = -1, -2, -3, -4
         """
     )
     assert cfg.plant.m == 1.5
     assert cfg.est.c1 == 9.0
     assert cfg.adaptive is False
     assert cfg.theta0 == (1.0, 20.0)
+    assert cfg.est.forgetting == 40.0
+    assert cfg.poles == (-1.0, -2.0, -3.0, -4.0)
 
 
 def test_invalid_plant_mass():
@@ -133,6 +137,13 @@ def test_gains_help_still_parses(capsys):
 
 
 def test_gains_command_rejects_unstable(capsys):
+    rc = run_cli(["gains", "1", "-4", "-5", "-5.5"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: pole (1+0j) has nonnegative real part\n"
+
+
+def test_gains_rejects_unstable_poles_without_numpy(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now fails
     rc = run_cli(["gains", "1", "-4", "-5", "-5.5"])
     assert rc == 1
     assert capsys.readouterr().err == "error: pole (1+0j) has nonnegative real part\n"
