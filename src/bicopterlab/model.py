@@ -16,7 +16,9 @@ as states, chi = (x, u1, u1_dot), so that the new input w = (u1_ddot, u2)
 enters through an invertible map away from chi7 = 0.
 
 `rk4_step` is the one integrator, shared by the closed-loop simulation and
-the drift flows of the relative-degree oracle.
+the drift flows of the relative-degree oracle. Its step is compiled once per
+state length with every entry written out: an indexed loop spends 13
+bytecodes (CPython 3.11) per float of a stage on its one multiply and add.
 """
 
 from dataclasses import dataclass, fields
@@ -65,21 +67,41 @@ def extended_deriv(chi, w, p: PlantParams) -> tuple:
     )
 
 
+# rk4_step for one state length: each <...> is written out for i = 0 .. n-1,
+# with the float operations of an indexed loop over the entries, in its order.
+_STEP_SOURCE = """\
+def step(state, t, dt, deriv):
+    [<s{i}>] = state
+    [<k1_{i}>] = deriv(state, t)
+    h2 = 0.5 * dt
+    [<k2_{i}>] = deriv([<s{i} + h2 * k1_{i}>], t + h2)
+    [<k3_{i}>] = deriv([<s{i} + h2 * k2_{i}>], t + h2)
+    [<k4_{i}>] = deriv([<s{i} + dt * k3_{i}>], t + dt)
+    sixth = dt / 6.0
+    return [<s{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})>]
+"""
+_STEPPERS = {}  # state length -> its compiled step, built on the first call
+
+
+def _stepper(n: int):
+    parts = _STEP_SOURCE.replace(">", "<").split("<")  # the odd parts are per entry
+    src = "".join(", ".join(part.format(i=i) for i in range(n)) if k % 2 else part
+                  for k, part in enumerate(parts))
+    exec(compile(src, f"<rk4_step n={n}>", "exec"), scope := {})
+    return _STEPPERS.setdefault(n, scope["step"])
+
+
 def rk4_step(state, t: float, dt: float, deriv) -> list:
     """One classical 4th-order Runge-Kutta step of an arbitrary ODE.
 
     `state` is any sequence of floats and `deriv(state, t)` returns a
     sequence of the same length. dt may be negative, which integrates
-    backwards in time.
+    backwards in time. It runs `_STEP_SOURCE` written out for len(state),
+    compiled on the first call for that length: an indexed loop's float
+    operations bit for bit, at 6 bytecodes per float of a stage, not 13.
     """
     n = len(state)
-    k1 = deriv(state, t)
-    h2 = 0.5 * dt
-    k2 = deriv([state[i] + h2 * k1[i] for i in range(n)], t + h2)
-    k3 = deriv([state[i] + h2 * k2[i] for i in range(n)], t + h2)
-    k4 = deriv([state[i] + dt * k3[i] for i in range(n)], t + dt)
-    sixth = dt / 6.0
-    out = [state[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(n)]
+    out = (_STEPPERS.get(n) or _stepper(n))(state, t, dt, deriv)
     if not isfinite(sum(out)):
         if not all(isfinite(v) for v in out):
             raise NonFiniteState("integration step produced a non-finite entry")

@@ -25,9 +25,10 @@ module for why the two parameter channels decouple.
 The derivative and the logged row are one kernel, `_closed_loop`. It
 inlines `tracking_v`, `iol_w`, `extended_deriv`, the estimator's filters
 and data matrices and `params_from_theta`. It keeps calling `xi_of_chi`,
-the reference, `estimate_deriv` and, once per step, `rk4_step`: the
-benchmark's tests pin those call counts. The layered functions remain the
-kernel's oracle, read by the tests, `verify` and the acceptance gate.
+the reference, `estimate_deriv` and, once per step, `rk4_step` (its stages
+written out per state length): the benchmark's tests pin those call counts.
+The layered functions remain the kernel's oracle, read by the tests,
+`verify` and the acceptance gate.
 
 A run's log is one flat array("d") of rows. `to_csv`, `from_csv` and `summarize`
 (its sums exactly rounded by `math.fsum`) read it in plain Python, so only `gains`
@@ -75,7 +76,6 @@ N_STATE = 21
 _CHI = slice(0, 8)
 _THETA = slice(8, 10)
 _FILTERS = slice(10, 17)
-_XBAR = slice(17, 19)
 _PHIBAR = slice(19, 21)
 
 # Most RK4 steps (t_end / dt) one run may take: under a minute at the 20-40k
@@ -291,7 +291,7 @@ def _closed_loop(cfg: SimConfig) -> tuple:
         xf0 = x3 - gamma * z0
         xf1 = x4 - gamma * z1 - z3
         xf2 = x5 - gamma * z2
-        dtheta = estimate_deriv(y[_THETA], y[_XBAR], y[_PHIBAR], est)
+        dtheta = estimate_deriv((th0, th1), (xb0, xb1), (pb0, pb1), est)
         return [x3, x4, x5, -x7 * s3 / pm, -g + x7 * c3 / pm, w2 / pj, y[7], w1,
                 dtheta[0], dtheta[1],
                 -gamma * z0 + x3, -gamma * z1 + x4, -gamma * z2 + x5, -gamma * z3 + -g,
@@ -370,12 +370,13 @@ def _first_sustained(t, values, tol: float) -> float:
 def summarize(ts: TimeSeries) -> Metrics:
     """Compute the summary metrics of a logged run from strided views of its block.
 
-    pos_rmse is the root of the math.fsum mean of the squared error norms from RMSE_T_START on.
+    pos_rmse is the root of the math.fsum mean of the squared error norms from
+    RMSE_T_START on; a run that ends before RMSE_T_START averages all of its rows.
     """
     if not ts.data:
         raise ValidationError("cannot summarize an empty time series")
     t, e1, e2 = ts.view("t"), ts.view("pos_err1"), ts.view("pos_err2")
-    t0 = min(RMSE_T_START, t[-1])
+    t0 = RMSE_T_START if t[-1] >= RMSE_T_START else -inf
     norms = array("d", (p for p, tt in zip(map(hypot, e1, e2), t) if tt >= t0))
     try:
         rmse = sqrt(fsum(p * p for p in norms) / len(norms))  # inf if a square is

@@ -4,7 +4,7 @@ import hashlib
 import json
 from array import array
 from dataclasses import fields, replace
-from math import fsum, sqrt
+from math import fsum, isfinite, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +114,53 @@ def test_rk4_fourth_order_convergence():
 
     e1, e2 = run(50), run(100)
     assert e1 / e2 == pytest.approx(16.0, rel=0.05)
+
+
+def _indexed_rk4_step(state, t, dt, deriv):
+    # rk4_step as an indexed loop over the entries, the form its written-out
+    # stages replace: the oracle for their float operations and their order
+    n = len(state)
+    k1 = deriv(state, t)
+    h2 = 0.5 * dt
+    k2 = deriv([state[i] + h2 * k1[i] for i in range(n)], t + h2)
+    k3 = deriv([state[i] + h2 * k2[i] for i in range(n)], t + h2)
+    k4 = deriv([state[i] + dt * k3[i] for i in range(n)], t + dt)
+    sixth = dt / 6.0
+    out = [state[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(n)]
+    if not isfinite(sum(out)):
+        if not all(isfinite(v) for v in out):
+            raise NonFiniteState("integration step produced a non-finite entry")
+    return out
+
+
+def test_rk4_step_is_the_indexed_loop_bit_for_bit():
+    # Same stages, same times and the same result, float.hex for float.hex, on
+    # random states and derivatives of every kind the docstring admits.
+    rng = np.random.default_rng(31)
+
+    def traced(step, state, t, dt, c, kind):
+        calls = []
+
+        def deriv(s, tt):
+            calls.append([float(v).hex() for v in (*s, tt)])
+            return kind(c[i] * s[i] - s[i - 1] * s[i - 1] + tt for i in range(len(s)))
+
+        return [v.hex() for v in step(state, t, dt, deriv)], calls
+
+    for n in (1, 2, 8, 21, 34):
+        for dt in (1e-3, -0.37):
+            for state_kind in (list, tuple):
+                for deriv_kind in (list, tuple):
+                    state = state_kind(float(v) for v in rng.normal(scale=3.0, size=n))
+                    c = [float(v) for v in rng.normal(scale=2.0, size=n)]
+                    t = float(rng.uniform(-5.0, 5.0))
+                    got = traced(rk4_step, state, t, dt, c, deriv_kind)
+                    assert got == traced(_indexed_rk4_step, state, t, dt, c, deriv_kind)
+    # the non-finite guard: a sum that overflows is no fault while every entry is finite
+    assert rk4_step([1e308, 1e308], 0.0, 0.1, lambda s, t: [0.0, 0.0]) == [1e308, 1e308]
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(NonFiniteState, match="^integration step produced a non-finite entry$"):
+            rk4_step([1.0, bad], 0.0, 0.1, lambda s, t: [0.0, 0.0])
 
 
 def test_closed_loop_deriv_equilibrium():
@@ -415,3 +462,12 @@ def test_summarize_rmse_is_the_exactly_rounded_mean():
     want = sqrt(fsum(e * e for e in window) / len(window))
     assert float(np.sqrt(np.mean(np.square(window)))) != want
     assert summarize(ts).pos_rmse == want
+
+
+def test_summarize_short_run_averages_all_rows():
+    # a run that ends before RMSE_T_START has no window; pos_rmse covers all of
+    # its rows, not the last one alone
+    err = np.random.default_rng(2).normal(size=20).tolist()
+    ts = _series_with(err, [0.0] * 20)
+    assert ts.view("t")[-1] < sim.RMSE_T_START
+    assert summarize(ts).pos_rmse == sqrt(fsum(e * e for e in err) / len(err))
