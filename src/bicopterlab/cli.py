@@ -22,7 +22,7 @@ from .errors import BicopterError, ParseError, ValidationError
 from .estimator import EstimatorConfig
 from .model import PlantParams
 from .sim import SimConfig, TimeSeries, simulate, summarize
-from .tracker import brunovsky_matrices, place_gains
+from .tracker import _closed_loop_roots, place_gains
 from .trajectory import EllipseSpec, HilbertSpec
 from .verify import run_verification
 
@@ -134,14 +134,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gains(args) -> int:
-    k = place_gains(args.poles)  # bad poles fail before numpy is needed
-    import numpy as np  # the one command that needs a matrix: eigvals checks the poles
-
+    k = place_gains(args.poles)
     for i, gain in enumerate(k, start=1):
         print(f"K{i}: {abs(gain):.17g}")
-    A, B = brunovsky_matrices()
-    eigs = np.linalg.eigvals(A + B @ np.kron(np.eye(2), k))
-    eigs = sorted(eigs, key=lambda s: (s.real, s.imag))
+    # both axes close the same loop: each of its four roots is two of the eight
+    eigs = sorted(2 * _closed_loop_roots(k), key=lambda s: (s.real, s.imag))
     for i, s in enumerate(eigs, start=1):
         print(f"eig{i}: {s.real:.12g}{s.imag:+.12g}j")
     return 0

@@ -31,7 +31,7 @@ The layered functions remain the kernel's oracle, read by the tests,
 `verify` and the acceptance gate.
 
 A run's log is one flat array("d") of rows. `to_csv`, `from_csv` and `summarize`
-(its sums exactly rounded by `math.fsum`) read it in plain Python, so only `gains`
+(its sums exactly rounded by `math.fsum`) read it in plain Python, so no command
 imports numpy; `TimeSeries.rows` shows the same memory as a numpy array, for tests.
 """
 

@@ -7,16 +7,17 @@ same 4-gain row is applied to both axes.
 
 Sign convention: `place_gains` returns the plain 4-tuple k = -(a0, a1,
 a2, a3) of gains on (pos, vel, acc, jerk) error, where
-s^4 + a3 s^3 + a2 s^2 + a1 s + a0 is the product of (s - pole_i); with
-K = np.kron(np.eye(2), k), the 2x8 matrix acting blockwise on both chains,
-the closed loop A + B K is Hurwitz. Gain magnitudes are |k|.
+s^4 + a3 s^3 + a2 s^2 + a1 s + a0 is the product of (s - pole_i). Applied
+to both chains, k makes the closed loop A + B K Hurwitz; `_closed_loop_roots`
+finds its roots again without numpy. Gain magnitudes are |k|.
 
 A reference is the pair (xi_d, ff): xi_d stacks position through jerk of
 axis 1, then axis 2 (8 floats); ff holds the 4th reference derivative per
 axis (2 floats).
 """
 
-from cmath import isfinite
+from cmath import isfinite, rect
+from math import frexp, ldexp, pi, prod
 
 from .errors import ValidationError
 
@@ -76,6 +77,38 @@ def place_gains(poles) -> tuple:
     if max(k) >= 0.0:
         raise ValidationError(f"poles {poles} give a zero gain: a coefficient underflows")
     return k
+
+
+def _closed_loop_roots(k) -> list:
+    """The four roots of one axis's closed loop, s^4 - k4 s^3 - k3 s^2 - k2 s - k1.
+
+    Durand-Kerner on t = s / 2^e (2^e above Fujiwara's root bound), started on
+    the unit circle, not at the requested poles. The split into the two
+    quadratic factors nearest to real makes the roots exactly real or exactly
+    conjugate, and Newton steps polish them.
+    """
+    e = frexp(max(-k[3], (-k[2]) ** 0.5, (-k[1]) ** (1 / 3), (-k[0] / 2) ** 0.25))[1] + 1
+    c = [ldexp(-g, (i - 4) * e) for i, g in enumerate(k)]  # c[i] multiplies t^i
+    p = lambda t: (((t + c[3]) * t + c[2]) * t + c[1]) * t + c[0]
+    dp = lambda t: ((4 * t + 3 * c[3]) * t + 2 * c[2]) * t + c[1]
+    size = lambda y: max(abs(y.real), abs(y.imag))  # unlike abs(y), cannot overflow
+    z = [rect(1.0, 0.4 + i * pi / 2) for i in range(4)]
+    for i in [0, 1, 2, 3] * 300:  # a fixed count: far out or at a repeated root, steps only halve
+        d = prod(z[i] - w for j, w in enumerate(z) if j != i)
+        t = z[i] - p(z[i]) / d if d else z[i]
+        if size(t) <= 64.0:  # refuses nan, inf and any step that could overflow p
+            z[i] = t
+    unreal = lambda u, v: abs((u + v).imag) + abs((u * v).imag)
+    z0, z1, z2, z3 = z  # three ways to split the roots into two quadratic factors
+    orders = ((z0, z1, z2, z3), (z0, z2, z1, z3), (z0, z3, z1, z2))
+    q = min(orders, key=lambda q: unreal(*q[:2]) + unreal(*q[2:]))  # (s - u)(s - v) nearest real
+    roots = []
+    for u, v in (q[:2], q[2:]):
+        real = abs((u - v).real) >= abs((u - v).imag)  # the sign of the factor's discriminant
+        roots += [u.real, v.real] if real else [(u + v.conjugate()) / 2, (u.conjugate() + v) / 2]
+    for _ in range(60):  # a Newton step is taken only if it shrinks |p|
+        roots = [min(x, x - p(x) / dp(x) if dp(x) else x, key=lambda x: size(p(x))) for x in roots]
+    return [complex(ldexp(s.real, e), ldexp(s.imag, e)) for s in roots]
 
 
 def tracking_v(xi, des, k) -> tuple:

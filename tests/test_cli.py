@@ -20,7 +20,7 @@ from bicopterlab.cli import _KEYS, parse_config, run_cli
 from bicopterlab.errors import BicopterError, ParseError, SingularThrust, ValidationError
 from bicopterlab.sim import COLUMNS, SimConfig
 from bicopterlab.trajectory import EllipseSpec, HilbertSpec
-from test_cli_stdout import VERIFY
+from test_cli_stdout import GAINS, VERIFY
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -147,6 +147,27 @@ def test_gains_rejects_unstable_poles_without_numpy(capsys, monkeypatch):
     rc = run_cli(["gains", "1", "-4", "-5", "-5.5"])
     assert rc == 1
     assert capsys.readouterr().err == "error: pole (1+0j) has nonnegative real part\n"
+    assert run_cli(["gains", "-4.5", "-4", "-5", "-5.5"]) == 0
+    assert capsys.readouterr().out == GAINS
+
+
+def test_gains_prints_a_tiny_pole_not_a_marginal_one(capsys):
+    # -1e-300 is a stable pole: its root must not print as 0+0j
+    assert run_cli(["gains", "--", "-1e-300", "-1", "-2", "-3"]) == 0
+    assert capsys.readouterr().out == """\
+K1: 6.0000000000000005e-300
+K2: 6
+K3: 11
+K4: 6
+eig1: -3+0j
+eig2: -3+0j
+eig3: -2+0j
+eig4: -2+0j
+eig5: -1+0j
+eig6: -1+0j
+eig7: -1e-300+0j
+eig8: -1e-300+0j
+"""
 
 
 # -1e308 overflows the characteristic coefficients; -1e-200 underflows
@@ -371,22 +392,23 @@ def test_no_command_loads_numpy_random(tmp_path):
     assert out == "False False False False False"
 
 
-# Runs simulate, report and verify in one fresh interpreter that has not
-# imported numpy, then prints whether numpy is loaded.
+# Runs all four commands in one fresh interpreter that has not imported
+# numpy, then prints whether numpy is loaded.
 _NO_NUMPY = """
 import io, sys
 from contextlib import redirect_stdout
 from bicopterlab.cli import run_cli
 cfg, csv = sys.argv[1:]
-for argv in (["simulate", cfg, csv], ["report", csv], ["verify", cfg]):
+gains = ["gains", "-4.5", "-4", "-5", "-5.5"]
+for argv in (["simulate", cfg, csv], ["report", csv], ["verify", cfg], gains):
     with redirect_stdout(io.StringIO()):
         assert run_cli(argv) == 0, argv
 print("numpy" in sys.modules, end="")
 """
 
 
-def test_simulate_report_and_verify_import_no_numpy(tmp_path):
-    # Only gains needs a matrix; numpy is a third of a run's peak memory.
+def test_no_command_imports_numpy(tmp_path):
+    # numpy is a third of a run's peak memory
     cfg = tmp_path / "short.cfg"
     cfg.write_text("sim.t_end = 0.05\n")
     argv = [sys.executable, "-c", _NO_NUMPY, str(cfg), str(tmp_path / "run.csv")]

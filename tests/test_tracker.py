@@ -1,4 +1,6 @@
-"""Brunovsky matrices, pole placement, and the tracking law."""
+"""Brunovsky matrices, pole placement, the closed-loop roots, and the tracking law."""
+
+from cmath import isfinite
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from bicopterlab.errors import ValidationError
 from bicopterlab.sim import rk4_step
 from bicopterlab.sim import SimConfig
-from bicopterlab.tracker import brunovsky_matrices, place_gains, tracking_v
+from bicopterlab.tracker import _closed_loop_roots, brunovsky_matrices, place_gains, tracking_v
 
 DESIGN_POLES = (-4.5, -4.0, -5.0, -5.5)
 DESIGN_GAINS = (-495.0, -422.75, -134.75, -19.0)
@@ -94,6 +96,44 @@ def test_closed_loop_eigenvalues_doubled():
         got = sorted(eigs, key=lambda s: (s.real, s.imag))
         for a, b in zip(got, want):
             assert abs(a - complex(b)) < 1e-9
+
+
+DISTINCT_POLES = [
+    DESIGN_POLES,
+    (-1.0, -2.0, -3.0, -4.0),
+    (-0.001, -1000.0, -3.0, -7.0),
+    (-5000.0, -4.0, -5.0, -5.5),
+    (-1e6, -1.0, -1e-6, -2.0),
+    (-1e75, -2e75, -3e75, -4e75),
+    (-1e-300, -1.0, -2.0, -3.0),
+    (-2.0 + 1.0j, -2.0 - 1.0j, -3.0, -5.0),  # library only: the CLI takes real poles
+]
+REPEATED_POLES = [(-4.0,) * 4, (-1e70,) * 4]
+
+
+@pytest.mark.parametrize("poles", DISTINCT_POLES + REPEATED_POLES)
+def test_closed_loop_roots(poles):
+    distinct = poles in DISTINCT_POLES
+    rel = 1e-9 if distinct else 1e-3  # a repeated root moves by about eps ** (1/4)
+    k = place_gains(poles)
+    roots = sorted(_closed_loop_roots(k), key=lambda s: (s.real, s.imag))
+    want = sorted(map(complex, poles), key=lambda s: (s.real, s.imag))
+    assert len(roots) == 4 and all(isfinite(s) for s in roots)
+    for got, pole in zip(roots, want):
+        assert abs(got - pole) <= rel * abs(pole)
+        if distinct:
+            assert (got.imag == 0.0) == (pole.imag == 0.0)  # a real pole's root is exactly real
+    nonreal = [s for s in roots if s.imag != 0.0]
+    assert sorted(nonreal, key=lambda s: (s.real, s.imag)) == sorted(
+        (s.conjugate() for s in nonreal), key=lambda s: (s.real, s.imag)
+    )
+    # the reference: numpy's eigenvalues of the 4x4 companion matrix, which are
+    # accurate relative to the largest root (they put -1e-300 at 0)
+    companion = np.diag(np.ones(3), 1)
+    companion[3] = k
+    ref = sorted(np.linalg.eigvals(companion), key=lambda s: (s.real, s.imag))
+    scale = max(abs(s) for s in want)
+    assert all(abs(got - r) <= rel * scale for got, r in zip(roots, ref))
 
 
 def test_tracking_v_zero_error():
