@@ -135,10 +135,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_gains(args) -> int:
     k = place_gains(args.poles)
+    # both axes close the same loop: each of its four roots is two of the eight;
+    # they are found before any line prints, so a failed solve prints nothing
+    eigs = sorted(2 * _closed_loop_roots(k), key=lambda s: (s.real, s.imag))
     for i, gain in enumerate(k, start=1):
         print(f"K{i}: {abs(gain):.17g}")
-    # both axes close the same loop: each of its four roots is two of the eight
-    eigs = sorted(2 * _closed_loop_roots(k), key=lambda s: (s.real, s.imag))
     for i, s in enumerate(eigs, start=1):
         print(f"eig{i}: {s.real:.12g}{s.imag:+.12g}j")
     return 0

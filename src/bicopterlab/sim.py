@@ -24,11 +24,13 @@ module for why the two parameter channels decouple.
 
 The derivative and the logged row are one kernel, `_closed_loop`. It
 inlines `tracking_v`, `iol_w`, `extended_deriv`, the estimator's filters
-and data matrices and `params_from_theta`. It keeps calling `xi_of_chi`,
-the reference, `estimate_deriv` and, once per step, `rk4_step` (its stages
-written out per state length): the benchmark's tests pin those call counts.
-The layered functions remain the kernel's oracle, read by the tests,
-`verify` and the acceptance gate.
+and data matrices and, in the derivative, `params_from_theta`. It keeps
+calling `xi_of_chi` and the reference (4 per step, 1 per row),
+`estimate_deriv` (4 per step), `params_from_theta` (once per known run and
+per adaptive row) and `rk4_step` (once per step, its stages written out per
+state length): the benchmark's tests count these calls through this
+module's globals. The layered functions remain the kernel's oracle, read
+by the tests, `verify` and the acceptance gate.
 
 A run's log is one flat array("d") of rows. `to_csv`, `from_csv` and `summarize`
 (its sums exactly rounded by `math.fsum`) read it in plain Python, so no command
@@ -241,72 +243,86 @@ class TimeSeries:
 def _closed_loop(cfg: SimConfig) -> tuple:
     """The run's (derivative, logged row) functions, its constants bound once.
 
-    `law` is the one control law of both; its sin/cos pair of chi[2] also
-    feeds the plant and the regressor. Each float operation keeps the order
-    and grouping of the layered function it inlines (the module docstring
-    lists them, and the calls kept), so the rows are theirs bit for bit. A
-    known run inverts theta_true once, here.
+    Each writes the control law out, with one unpack of the state, of
+    `xi_of_chi`'s result and of the reference; the sin/cos pair of chi[2]
+    also feeds the plant and the regressor. Each float operation keeps the
+    order and grouping of the layered function it inlines, and a hoisted
+    constant (-gamma, -G, j0 * m0, ...) is the float it replaces, so the rows
+    are theirs bit for bit. The U_MIN guard runs after `xi_of_chi` and the
+    reference, as in the layered law. A known run inverts theta_true once, here.
     """
-    g, pm, pj = G, cfg.plant.m, cfg.plant.J
+    pm, pj = cfg.plant.m, cfg.plant.J
     est = cfg.est
-    gamma, lam = est.gamma, est.forgetting
+    gamma, ngamma, nlam, ng = est.gamma, -est.gamma, -est.forgetting, -G
     k0, k1, k2, k3 = cfg.gains
     traj = cfg.traj
     ref = ellipse_ref if isinstance(traj, EllipseSpec) else hilbert_ref
     adaptive, theta_true = cfg.adaptive, cfg.theta_true
     m0, j0 = params_from_theta(theta_true)
+    nm0, jm0 = -m0, j0 * m0
     m_inv, j_inv = theta_true
-
-    def law(chi, m, j, t):
-        """(w1, w2, sin, cos of chi[2], xi, xd, v1, v2) at the estimates m and j."""
-        xi = xi_of_chi(chi, m)
-        xd, ff = ref(t, traj)
-        x6, x7, x8 = chi[5], chi[6], chi[7]
-        if abs(x7) < U_MIN:
-            _guarded_thrust(chi)
-        s3, c3 = sin(chi[2]), cos(chi[2])
-        v1 = (k0 * (xi[0] - xd[0]) + k1 * (xi[1] - xd[1]) + k2 * (xi[2] - xd[2])
-              + k3 * (xi[3] - xd[3]) + ff[0])
-        v2 = (k0 * (xi[4] - xd[4]) + k1 * (xi[5] - xd[5]) + k2 * (xi[6] - xd[6])
-              + k3 * (xi[7] - xd[7]) + ff[1])
-        a1 = -x6 * (2.0 * x8 * c3 - x6 * x7 * s3) / m
-        a2 = -x6 * (2.0 * x8 * s3 + x6 * x7 * c3) / m
-        r1, r2 = v1 - a1, v2 - a2
-        w1 = -m * s3 * r1 + m * c3 * r2
-        w2 = -(j * m / x7) * (c3 * r1 + s3 * r2)
-        return w1, w2, s3, c3, xi, xd, v1, v2
+    err0 = ((theta_true[0] - m_inv) ** 2 + (theta_true[1] - j_inv) ** 2) ** 0.5
 
     def deriv_known(chi, t: float) -> list:
-        w1, w2, s3, c3, _, _, _, _ = law(chi, m0, j0, t)
-        return [chi[3], chi[4], chi[5], -chi[6] * s3 / pm, -g + chi[6] * c3 / pm, w2 / pj,
-                chi[7], w1]
+        _, _, x3, x4, x5, x6, x7, x8 = chi
+        xi1, xi2, xi3, xi4, xi5, xi6, xi7, xi8 = xi_of_chi(chi, m0)
+        (d1, d2, d3, d4, d5, d6, d7, d8), (f1, f2) = ref(t, traj)
+        if abs(x7) < U_MIN:
+            _guarded_thrust(chi)
+        s3, c3 = sin(x3), cos(x3)
+        nx6, x8_2, x67 = -x6, 2.0 * x8, x6 * x7
+        r1 = (k0 * (xi1 - d1) + k1 * (xi2 - d2) + k2 * (xi3 - d3) + k3 * (xi4 - d4) + f1
+              - nx6 * (x8_2 * c3 - x67 * s3) / m0)
+        r2 = (k0 * (xi5 - d5) + k1 * (xi6 - d6) + k2 * (xi7 - d7) + k3 * (xi8 - d8) + f2
+              - nx6 * (x8_2 * s3 + x67 * c3) / m0)
+        return [x4, x5, x6, -x7 * s3 / pm, ng + x7 * c3 / pm,
+                -(jm0 / x7) * (c3 * r1 + s3 * r2) / pj, x8, nm0 * s3 * r1 + m0 * c3 * r2]
 
     def deriv(y, t: float) -> list:
-        th0, th1 = y[8], y[9]  # params_from_theta's max(), NaN included
-        m, j = (1.0 / (THETA_FLOOR if th0 < THETA_FLOOR else th0),
-                1.0 / (THETA_FLOOR if th1 < THETA_FLOOR else th1))
-        w1, w2, s3, c3, _, _, _, _ = law(y, m, j, t)
-        x3, x4, x5, x7 = y[3], y[4], y[5], y[6]
-        z0, z1, z2, z3, z4, z5, z6, xb0, xb1, pb0, pb1 = y[10:21]
-        xf0 = x3 - gamma * z0
-        xf1 = x4 - gamma * z1 - z3
-        xf2 = x5 - gamma * z2
-        dtheta = estimate_deriv((th0, th1), (xb0, xb1), (pb0, pb1), est)
-        return [x3, x4, x5, -x7 * s3 / pm, -g + x7 * c3 / pm, w2 / pj, y[7], w1,
-                dtheta[0], dtheta[1],
-                -gamma * z0 + x3, -gamma * z1 + x4, -gamma * z2 + x5, -gamma * z3 + -g,
-                -gamma * z4 + -s3 * x7, -gamma * z5 + c3 * x7, -gamma * z6 + w2,
-                -lam * xb0 + (z4 * xf0 + z5 * xf1), -lam * xb1 + z6 * xf2,
-                -lam * pb0 + (z4 * z4 + z5 * z5), -lam * pb1 + z6 * z6]
+        (_, _, x3, x4, x5, x6, x7, x8, th0, th1,
+         z0, z1, z2, z3, z4, z5, z6, xb0, xb1, pb0, pb1) = y
+        m, j = (1.0 / (THETA_FLOOR if th0 < THETA_FLOOR else th0),  # params_from_theta's
+                1.0 / (THETA_FLOOR if th1 < THETA_FLOOR else th1))  # max(), NaN included
+        xi1, xi2, xi3, xi4, xi5, xi6, xi7, xi8 = xi_of_chi(y, m)
+        (d1, d2, d3, d4, d5, d6, d7, d8), (f1, f2) = ref(t, traj)
+        if abs(x7) < U_MIN:
+            _guarded_thrust(y)
+        s3, c3 = sin(x3), cos(x3)
+        nx6, x8_2, x67 = -x6, 2.0 * x8, x6 * x7
+        r1 = (k0 * (xi1 - d1) + k1 * (xi2 - d2) + k2 * (xi3 - d3) + k3 * (xi4 - d4) + f1
+              - nx6 * (x8_2 * c3 - x67 * s3) / m)
+        r2 = (k0 * (xi5 - d5) + k1 * (xi6 - d6) + k2 * (xi7 - d7) + k3 * (xi8 - d8) + f2
+              - nx6 * (x8_2 * s3 + x67 * c3) / m)
+        w2 = -(j * m / x7) * (c3 * r1 + s3 * r2)
+        xf0, xf1, xf2 = x4 - gamma * z0, x5 - gamma * z1 - z3, x6 - gamma * z2
+        dth0, dth1 = estimate_deriv((th0, th1), (xb0, xb1), (pb0, pb1), est)
+        return [x4, x5, x6, -x7 * s3 / pm, ng + x7 * c3 / pm, w2 / pj, x8,
+                -m * s3 * r1 + m * c3 * r2,
+                dth0, dth1,
+                ngamma * z0 + x4, ngamma * z1 + x5, ngamma * z2 + x6, ngamma * z3 + ng,
+                ngamma * z4 + -s3 * x7, ngamma * z5 + c3 * x7, ngamma * z6 + w2,
+                nlam * xb0 + (z4 * xf0 + z5 * xf1), nlam * xb1 + z6 * xf2,
+                nlam * pb0 + (z4 * z4 + z5 * z5), nlam * pb1 + z6 * z6]
 
     def record(y, t: float) -> tuple:
-        chi = y[_CHI]
+        x1, x2, x3, x4, x5, x6, x7, x8 = chi = y[_CHI]
         theta = y[_THETA] if adaptive else theta_true
         m, j = params_from_theta(theta) if adaptive else (m0, j0)
-        w1, w2, _, _, xi, xd, v1, v2 = law(chi, m, j, t)
-        theta_err = ((theta[0] - m_inv) ** 2 + (theta[1] - j_inv) ** 2) ** 0.5
-        return (t, *chi[0:6], chi[6], w2, w1, w2, *xi, *xd, v1, v2, *theta, theta_err,
-                chi[0] - xd[0], chi[1] - xd[4])
+        xi = xi1, xi2, xi3, xi4, xi5, xi6, xi7, xi8 = xi_of_chi(chi, m)
+        xd, (f1, f2) = ref(t, traj)
+        d1, d2, d3, d4, d5, d6, d7, d8 = xd
+        if abs(x7) < U_MIN:
+            _guarded_thrust(chi)
+        s3, c3 = sin(x3), cos(x3)
+        nx6, x8_2, x67 = -x6, 2.0 * x8, x6 * x7
+        v1 = k0 * (xi1 - d1) + k1 * (xi2 - d2) + k2 * (xi3 - d3) + k3 * (xi4 - d4) + f1
+        v2 = k0 * (xi5 - d5) + k1 * (xi6 - d6) + k2 * (xi7 - d7) + k3 * (xi8 - d8) + f2
+        r1 = v1 - nx6 * (x8_2 * c3 - x67 * s3) / m
+        r2 = v2 - nx6 * (x8_2 * s3 + x67 * c3) / m
+        w2 = -(j * m / x7) * (c3 * r1 + s3 * r2)
+        err = ((theta[0] - m_inv) ** 2 + (theta[1] - j_inv) ** 2) ** 0.5 if adaptive else err0
+        return (t, x1, x2, x3, x4, x5, x6, x7, w2, -m * s3 * r1 + m * c3 * r2, w2, *xi, *xd,
+                v1, v2, *theta, err, x1 - d1, x2 - d5)
 
     return (deriv if adaptive else deriv_known), record
 

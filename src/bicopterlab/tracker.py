@@ -85,10 +85,13 @@ def _closed_loop_roots(k) -> list:
     Durand-Kerner on t = s / 2^e (2^e above Fujiwara's root bound), started on
     the unit circle, not at the requested poles. The split into the two
     quadratic factors nearest to real makes the roots exactly real or exactly
-    conjugate, and Newton steps polish them.
+    conjugate, and Newton steps polish them. ValidationError if a scaled
+    coefficient underflows to 0.0 or a root comes out with Re >= 0.
     """
     e = frexp(max(-k[3], (-k[2]) ** 0.5, (-k[1]) ** (1 / 3), (-k[0] / 2) ** 0.25))[1] + 1
     c = [ldexp(-g, (i - 4) * e) for i, g in enumerate(k)]  # c[i] multiplies t^i
+    if 0.0 in c:  # every gain is nonzero: place_gains rejects a zero one
+        raise ValidationError(f"gains {k} underflow once scaled: the closed-loop roots are lost")
     p = lambda t: (((t + c[3]) * t + c[2]) * t + c[1]) * t + c[0]
     dp = lambda t: ((4 * t + 3 * c[3]) * t + 2 * c[2]) * t + c[1]
     size = lambda y: max(abs(y.real), abs(y.imag))  # unlike abs(y), cannot overflow
@@ -108,7 +111,11 @@ def _closed_loop_roots(k) -> list:
         roots += [u.real, v.real] if real else [(u + v.conjugate()) / 2, (u.conjugate() + v) / 2]
     for _ in range(60):  # a Newton step is taken only if it shrinks |p|
         roots = [min(x, x - p(x) / dp(x) if dp(x) else x, key=lambda x: size(p(x))) for x in roots]
-    return [complex(ldexp(s.real, e), ldexp(s.imag, e)) for s in roots]
+    roots = [complex(ldexp(s.real, e), ldexp(s.imag, e)) for s in roots]
+    for s in roots:  # the loop is Hurwitz, so such a root is the solve's own failure
+        if not s.real < 0.0:
+            raise ValidationError(f"gains {k} give a closed-loop root {s} that is not stable")
+    return roots
 
 
 def tracking_v(xi, des, k) -> tuple:

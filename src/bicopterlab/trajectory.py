@@ -84,13 +84,11 @@ def ellipse_ref(t: float, spec: EllipseSpec) -> tuple:
     p2 = c2 + A2 * cw + B2 * sw
     v1 = w * (-A1 * sw + B1 * cw)
     v2 = w * (-A2 * sw + B2 * cw)
-    a1 = nw2 * (A1 * cw + B1 * sw)
-    a2 = nw2 * (A2 * cw + B2 * sw)
+    q1 = A1 * cw + B1 * sw  # scales to the acceleration and the 4th derivative
+    q2 = A2 * cw + B2 * sw
     j1 = w3 * (A1 * sw - B1 * cw)
     j2 = w3 * (A2 * sw - B2 * cw)
-    f1 = w4 * (A1 * cw + B1 * sw)
-    f2 = w4 * (A2 * cw + B2 * sw)
-    return (p1, v1, a1, j1, p2, v2, a2, j2), (f1, f2)
+    return (p1, v1, nw2 * q1, j1, p2, v2, nw2 * q2, j2), (w4 * q1, w4 * q2)
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,25 @@ def test_gains_command_rejects_non_finite(capsys, poles):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+# Hurwitz poles whose roots the solve loses: in the first set the scaled
+# coefficients c[0] and c[1] underflow to 0.0, and four roots came out at
+# real part +5.14e+172; in the second no coefficient underflows, and four
+# came out at +2.14e-05.
+@pytest.mark.parametrize("poles, why", [
+    (("-2.677516192177067e-29", "-7.301828835501891e+35", "-3.360086163398219e+254",
+      "-2.454946656957589e-21"), "underflow once scaled"),
+    (("-6.798880776241447e+113", "-3.042844131603314e-10", "-6.161371557075068e+80",
+      "-2.8570533532887847e-15"), "that is not stable"),
+])
+def test_gains_prints_no_root_it_lost(capsys, poles, why):
+    rc = run_cli(["gains", "--", *poles])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: gains (") and captured.err.count("\n") == 1
+    assert why in captured.err
+
+
 @pytest.mark.parametrize("poles", ["0.5, -4, -5, -5.5", "nan, -4, -5, -5.5"])
 def test_verify_bad_poles_end_at_parse_time(tmp_path, capsys, poles):
     cfg_path = tmp_path / "poles.cfg"

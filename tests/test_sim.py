@@ -4,7 +4,7 @@ import hashlib
 import json
 from array import array
 from dataclasses import fields, replace
-from math import fsum, isfinite, sqrt
+from math import fsum, isfinite, nextafter, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +286,20 @@ def test_kernel_matches_the_layered_functions(cfg):
         t = float(rng.uniform(0.0, cfg.t_end + 5.0))
         for got, want in zip(kernel, layered):
             assert _outcome(got, y, t) == _outcome(want, y, t)
+    # The guards at their edges: chi7 at U_MIN and one float inside it, and
+    # theta entries at THETA_FLOOR and one float below it (a known run's
+    # kernel reads no theta entry of the state).
+    below_u, below_floor = nextafter(U_MIN, 0.0), nextafter(THETA_FLOOR, 0.0)
+    for x7 in (U_MIN, -U_MIN, below_u, -below_u):
+        for theta in ((THETA_FLOOR, below_floor), (below_floor, THETA_FLOOR)):
+            chi = [float(v) for v in rng.normal(scale=2.0, size=8)]
+            chi[6] = x7
+            y = chi + [*theta, *(float(v) for v in rng.normal(size=11))] if cfg.adaptive else chi
+            t = float(rng.uniform(0.0, cfg.t_end + 5.0))
+            for got, want in zip(kernel, layered):
+                outcome = _outcome(got, y, t)
+                assert outcome == _outcome(want, y, t)
+                assert (outcome[0] is SingularThrust) == (abs(x7) < U_MIN)
 
 
 def test_known_run_logs_theta_true():
@@ -353,6 +367,16 @@ def test_log_decimation_and_columns():
     ts = simulate(cfg)
     _assert_float64_block(ts, 11)  # t = 0 plus every 10th of 100 steps
     assert ts.column("t")[1] == pytest.approx(0.01)
+
+
+def test_row_schedule_of_a_whole_float_log_every():
+    # log_every = 10.0 is a whole number, so it logs the rows of 10: t = 0,
+    # every tenth of the 105 steps, and the last step
+    cfg = replace(KNOWN, t_end=0.105, log_every=10)
+    ts = simulate(cfg)
+    assert simulate(replace(cfg, log_every=10.0)).data.tobytes() == ts.data.tobytes()
+    t = ts.view("t")
+    assert len(t) == 12 and t[-1] == 0.105
 
 
 def test_column_is_a_copy():
