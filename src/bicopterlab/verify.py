@@ -5,32 +5,30 @@ law against a computation that does not share its code path:
 
   1. relative-degree probe: flow-based input-to-output sensitivities must
      vanish for derivative orders 0-2 and reproduce beta at order 3;
-  2. closed-loop identity: with exact parameters, finite differences of
-     the logged output 4th derivative must match the logged virtual input.
-     The oracle flies its own run, the default ellipse on its own uniform
-     log grid, so of the config it reads only the plant, the poles and dt.
+  2. closed-loop identity: with exact parameters each axis's error e = xi - xi_d
+     must follow the exact solution of e'''' = k e, expm(A t) e(0), on a run of
+     its own (5 s of the default ellipse): it reads only the plant, poles and dt.
 
-Only this module draws random numbers, from the stdlib generator. The
-stencil runs on Python floats, reading the log through strided views, so
-`verify` does not import numpy.
+Only this module draws random numbers, from the stdlib generator. It reads the
+log through strided views into Python floats, so `verify` does not import numpy.
 """
 
-from math import isfinite
+from math import frexp, fsum, inf, isfinite, ldexp
+from operator import mul, sub
 from random import Random
 
 from .errors import BicopterError, ValidationError
-from .linearizer import _dot, lie_relative_degree_check
+from .linearizer import lie_relative_degree_check
 from .sim import MAX_STEPS, SimConfig, simulate
 
 __all__ = ["run_verification"]
 
-# Log interval of the closed-loop run (s), to the nearest whole number of
-# steps: rounding in the 4th-derivative stencil grows as h^-4.
-STENCIL_STEP = 0.01
-# Log intervals the closed-loop run spans: 5 s at the default step.
-STENCIL_INTERVALS = 500
-# Stencil centers before this time (s) fall in the startup transient.
-STENCIL_CUTOFF = 0.5
+# The closed-loop run: about 5 s (at least one step) in 500 equal log intervals or fewer.
+ORACLE_HORIZON = 5.0
+ORACLE_INTERVALS = 500
+# Largest gap (m) between a logged and the exact position error. RK4's gap goes
+# as dt^4, 6.0e-7 m at dt = 0.01 s and 1.0e-5 m at 0.02 s: a log-scale midpoint.
+CLOSED_LOOP_BOUND = 2.5e-6
 # Random states probed by the relative-degree check.
 RELATIVE_DEGREE_STATES = 5
 
@@ -57,58 +55,59 @@ def _check_relative_degree(cfg: SimConfig, emit) -> bool:
     return ok
 
 
-def fourth_derivative_rel_err(ts) -> float:
-    """Worst relative gap between the stencil's y^(4) and the logged v, t > 0.5 s.
+def _expm4(k, h: float) -> list:
+    """expm(A h) as 4 rows, A the companion matrix of one axis's e'''' = k e.
 
-    y^(4) is differenced from the logged positions r1, r2 and compared with
-    v1, v2 at the stencil centers. Precondition: every row lies on one
-    uniform log grid, and some stencil center lies past STENCIL_CUTOFF.
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005): the Taylor
+    sum to order 18 (its tail is below 1e-22) of A h / 2^s, of row-sum norm <= 1/2.
+    """
+    matmul = lambda a, b: [[fsum(map(mul, row, col)) for col in zip(*b)] for row in a]
+    s = max(0, frexp(h * max(1.0, fsum(map(abs, k))))[1] + 1)
+    x = ldexp(h, -s)
+    a = [[0.0, x, 0.0, 0.0], [0.0, 0.0, x, 0.0], [0.0, 0.0, 0.0, x], [g * x for g in k]]
+    p = [[float(i == j) for j in range(4)] for i in range(4)]
+    for n in range(18, 0, -1):  # Horner's rule: p = I + a p / n
+        p = [[float(i == j) + v / n for j, v in enumerate(r)] for i, r in enumerate(matmul(a, p))]
+    for _ in range(s):
+        p = matmul(p, p)
+    return p
+
+
+def closed_loop_gap(ts, k) -> tuple:
+    """The largest |e1 - e1_exact| and the largest |e1| (m) over both axes of a log.
+
+    e_exact starts at each axis's first logged e and steps by expm(A h), h the
+    first log interval. A NaN or inf in the logged or propagated e is an inf gap.
     """
     t = ts.view("t")
-    h4 = (t[1] - t[0]) ** 4
-    # 7-point central 4th-derivative stencil, O(h^4): the startup transient
-    # carries large 6th derivatives, so the plain 5-point O(h^2) stencil is
-    # not accurate enough right after the 0.5 s cutoff.
-    w = (-1.0 / 6.0, 2.0, -6.5, 28.0 / 3.0, -6.5, 2.0, -1.0 / 6.0)
-    worst = 0.0
-    for pos_col, v_col in (("r1", "v1"), ("r2", "v2")):
-        y, v = ts.view(pos_col), ts.view(v_col)
-        for c in (c for c in range(3, len(t) - 3) if t[c] > STENCIL_CUTOFF):
-            worst = max(worst, abs(_dot(w, y[c - 3:c + 4]) / h4 - v[c]) / max(1.0, abs(v[c])))
-    return worst
+    step = _expm4(k, t[1] - t[0])
+    gap = top = 0.0
+    for cols in (range(1, 5), range(5, 9)):
+        errors = zip(*(map(sub, ts.view(f"xi{i}"), ts.view(f"xid{i}")) for i in cols))
+        exact = None
+        for e in errors:
+            exact = e if exact is None else [fsum(map(mul, row, exact)) for row in step]
+            d = abs(e[0] - exact[0]) if all(map(isfinite, (*e, *exact))) else inf
+            gap, top = max(gap, d), max(top, abs(e[0]))
+    return gap, top
 
 
 def _check_closed_loop_identity(cfg: SimConfig, emit) -> bool:
-    """y^(4) differenced from a known-parameter ellipse run must equal its logged v.
-
-    The run keeps the config's step, which a stiff pole set needs, and spans
-    a whole number of log intervals, so every logged row lies on the grid.
-    It flies the default ellipse: v jumps at each Hilbert corner, and no
-    stencil spans a jump.
-    """
-    every = max(1, round(min(STENCIL_STEP / cfg.dt, MAX_STEPS)))
-    t_end = STENCIL_INTERVALS * every * cfg.dt
-    if not isfinite(t_end):
-        raise ValidationError(
-            f"the closed-loop oracle needs a finer sim.dt: {STENCIL_INTERVALS} log "
-            f"intervals of {cfg.dt:g} s overflow the float range"
-        )
-    if not t_end / cfg.dt <= MAX_STEPS:  # SimConfig's own test, so it cannot blame t_end
-        raise ValidationError(
-            f"the closed-loop oracle needs a coarser sim.dt: at {cfg.dt:g} s its "
-            f"{STENCIL_INTERVALS} log intervals take more than {MAX_STEPS} steps"
-        )
-    run_cfg = SimConfig(
-        plant=cfg.plant, poles=cfg.poles, dt=cfg.dt, t_end=t_end,
-        adaptive=False, log_every=every,
-    )
+    if not ORACLE_HORIZON / cfg.dt <= MAX_STEPS:
+        raise ValidationError(f"the closed-loop oracle needs a coarser sim.dt: at {cfg.dt:g} s "
+                              f"its {ORACLE_HORIZON:g} s take more than {MAX_STEPS} steps")
+    steps = max(1, round(ORACLE_HORIZON / cfg.dt))  # at the config's step: stiff poles need it
+    every = max(1, steps // ORACLE_INTERVALS)
+    run_cfg = SimConfig(plant=cfg.plant, poles=cfg.poles, dt=cfg.dt, adaptive=False,
+                        t_end=steps // every * every * cfg.dt, log_every=every)
     try:
         ts = simulate(run_cfg)
     except BicopterError as exc:  # name the oracle: the user's config asked for no such run
         raise type(exc)(f"the closed-loop oracle at sim.dt = {cfg.dt:g} s: {exc}") from exc
-    worst = fourth_derivative_rel_err(ts)
-    ok = worst < 1e-3
-    emit(f"closed_loop_fourth_derivative_rel_err: {worst:.6e}")
+    gap, top = closed_loop_gap(ts, cfg.gains)
+    ok = gap <= CLOSED_LOOP_BOUND
+    emit(f"closed_loop_exact_gap_max: {gap:.6e}")
+    emit(f"closed_loop_error_max: {top:.6e}")
     emit(f"closed_loop_identity_pass: {str(ok).lower()}")
     return ok
 

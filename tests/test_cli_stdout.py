@@ -34,7 +34,8 @@ VERIFY = """\
 relative_degree_lower_order_max: 3.061322e-09
 relative_degree_k3_rel_err_max: 2.428380e-07
 relative_degree_pass: true
-closed_loop_fourth_derivative_rel_err: 1.820371e-05
+closed_loop_exact_gap_max: 5.633949e-11
+closed_loop_error_max: 7.523505e-01
 closed_loop_identity_pass: true
 all_pass: true
 """
