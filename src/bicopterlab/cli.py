@@ -136,8 +136,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_gains(args) -> int:
     k = place_gains(args.poles)
     # both axes close the same loop: each of its four roots is two of the eight;
-    # they are found before any line prints, so a failed solve prints nothing
-    eigs = sorted(2 * _closed_loop_roots(k), key=lambda s: (s.real, s.imag))
+    # they are found and checked before any line prints, so a failed solve prints nothing
+    roots = _closed_loop_roots(k)
+    for s in roots:  # relative to the nearest pole; repeated poles land up to 2.2e-4 off
+        if min(max(abs((s - p).real), abs((s - p).imag)) / -p for p in args.poles) > 1e-3:
+            raise ValidationError(f"gains {k} give a closed-loop root {s} 1e-3 off every pole")
+    eigs = sorted(2 * roots, key=lambda s: (s.real, s.imag))
     for i, gain in enumerate(k, start=1):
         print(f"K{i}: {abs(gain):.17g}")
     for i, s in enumerate(eigs, start=1):

@@ -58,7 +58,7 @@ DEAD_ZONE = 1e-12
 # Least theta entry the control law inverts, so a transient estimate at or
 # below zero still gives a finite, positive m_hat and j_hat. Its limit: it caps
 # the controller's m_hat and j_hat at 1000 (kg and kg m^2), in a known run too,
-# so verify's closed-loop check fails on plant.j = 2000 (rel err 1.5e+01).
+# so verify's closed-loop check fails on plant.j = 2000 (gap 5.2e-2 m).
 THETA_FLOOR = 1e-3
 
 

@@ -22,15 +22,14 @@ reads the estimator states. Filter states that are identically zero, or that
 only ever meet a zero row of Phi, are never integrated; see the estimator
 module for why the two parameter channels decouple.
 
-The derivative and the logged row are one kernel, `_closed_loop`. It
-inlines `tracking_v`, `iol_w`, `extended_deriv`, the estimator's filters
-and data matrices and, in the derivative, `params_from_theta`. It keeps
-calling `xi_of_chi` and the reference (4 per step, 1 per row),
-`estimate_deriv` (4 per step), `params_from_theta` (once per known run and
-per adaptive row) and `rk4_step` (once per step, its stages written out per
-state length): the benchmark's tests count these calls through this
-module's globals. The layered functions remain the kernel's oracle, read
-by the tests, `verify` and the acceptance gate.
+The derivative and the logged row are one kernel, `_closed_loop`. It inlines
+`tracking_v`, `iol_w`, `extended_deriv`, the estimator's filters and data
+matrices and, in the adaptive derivative, `params_from_theta` and `xi_of_chi`.
+The benchmark's tests count the calls left through this module's globals: the
+reference (4 per step, 1 per row), `estimate_deriv`, `params_from_theta`,
+`rk4_step`, and `xi_of_chi` in the known derivative and the row, pinned at 4 per
+step plus 1 per row on a known run until ROADMAP item 1a. The layered functions
+remain the kernel's oracle, read by the tests, `verify` and the gate.
 
 A run's log is one flat array("d") of rows. `to_csv`, `from_csv` and `summarize`
 (its sums exactly rounded by `math.fsum`) read it in plain Python, so no command
@@ -243,13 +242,13 @@ class TimeSeries:
 def _closed_loop(cfg: SimConfig) -> tuple:
     """The run's (derivative, logged row) functions, its constants bound once.
 
-    Each writes the control law out, with one unpack of the state, of
-    `xi_of_chi`'s result and of the reference; the sin/cos pair of chi[2]
-    also feeds the plant and the regressor. Each float operation keeps the
-    order and grouping of the layered function it inlines, and a hoisted
-    constant (-gamma, -G, j0 * m0, ...) is the float it replaces, so the rows
-    are theirs bit for bit. The U_MIN guard runs after `xi_of_chi` and the
-    reference, as in the layered law. A known run inverts theta_true once, here.
+    Each writes the control law out, with one unpack of the state, of the
+    reference and of `xi_of_chi`'s result, which `deriv` writes out too; the
+    sin/cos pair of chi[2] also feeds the plant and the regressor. Each float
+    operation keeps the order and grouping of the layered function it inlines,
+    and a hoisted constant (-gamma, -G, j0 * m0, ...) is the float it replaces,
+    so the rows are theirs bit for bit. The U_MIN guard runs after `xi_of_chi`
+    and the reference, as in the layered law. A known run inverts theta_true once.
     """
     pm, pj = cfg.plant.m, cfg.plant.J
     est = cfg.est
@@ -279,19 +278,20 @@ def _closed_loop(cfg: SimConfig) -> tuple:
                 -(jm0 / x7) * (c3 * r1 + s3 * r2) / pj, x8, nm0 * s3 * r1 + m0 * c3 * r2]
 
     def deriv(y, t: float) -> list:
-        (_, _, x3, x4, x5, x6, x7, x8, th0, th1,
+        (x1, x2, x3, x4, x5, x6, x7, x8, th0, th1,
          z0, z1, z2, z3, z4, z5, z6, xb0, xb1, pb0, pb1) = y
         m, j = (1.0 / (THETA_FLOOR if th0 < THETA_FLOOR else th0),  # params_from_theta's
                 1.0 / (THETA_FLOOR if th1 < THETA_FLOOR else th1))  # max(), NaN included
-        xi1, xi2, xi3, xi4, xi5, xi6, xi7, xi8 = xi_of_chi(y, m)
+        s3, c3 = sin(x3), cos(x3)  # xi_of_chi's, in its order of operations
+        xi3, xi4 = -s3 * x7 / m, (-c3 * x7 * x6 - s3 * x8) / m
+        xi7, xi8 = ng + c3 * x7 / m, (-s3 * x7 * x6 + c3 * x8) / m
         (d1, d2, d3, d4, d5, d6, d7, d8), (f1, f2) = ref(t, traj)
         if abs(x7) < U_MIN:
             _guarded_thrust(y)
-        s3, c3 = sin(x3), cos(x3)
         nx6, x8_2, x67 = -x6, 2.0 * x8, x6 * x7
-        r1 = (k0 * (xi1 - d1) + k1 * (xi2 - d2) + k2 * (xi3 - d3) + k3 * (xi4 - d4) + f1
+        r1 = (k0 * (x1 - d1) + k1 * (x4 - d2) + k2 * (xi3 - d3) + k3 * (xi4 - d4) + f1
               - nx6 * (x8_2 * c3 - x67 * s3) / m)
-        r2 = (k0 * (xi5 - d5) + k1 * (xi6 - d6) + k2 * (xi7 - d7) + k3 * (xi8 - d8) + f2
+        r2 = (k0 * (x2 - d5) + k1 * (x5 - d6) + k2 * (xi7 - d7) + k3 * (xi8 - d8) + f2
               - nx6 * (x8_2 * s3 + x67 * c3) / m)
         w2 = -(j * m / x7) * (c3 * r1 + s3 * r2)
         xf0, xf1, xf2 = x4 - gamma * z0, x5 - gamma * z1 - z3, x6 - gamma * z2

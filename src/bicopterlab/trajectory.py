@@ -10,14 +10,16 @@ genuinely nonsmooth.
 Each spec builds a table of the constants its reference needs on first
 use and keeps it for its lifetime: the ellipse's center, axis
 coefficients and powers of omega, and the Hilbert path's 15 segment rows
-plus its clamped end state. It lives in the instance's __dict__
-(`functools.cached_property`), not in a field, so it takes no part in
-__eq__, __hash__ or __repr__.
+plus its clamped end state. The ellipse spec also keeps the last (t, value)
+of ellipse_ref, since RK4 asks twice for t + h/2 and often again for t + h;
+a miss replaces it in one assignment, so no thread pairs one call's t with
+another's value. Both live in the instance's __dict__ (`cached_property`),
+not in fields, so they take no part in __eq__, __hash__ or __repr__.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, radians, sin
+from math import cos, nan, radians, sin
 
 from .errors import check_field
 
@@ -70,6 +72,10 @@ class EllipseSpec:
             w, -w * w, w ** 3, w ** 4,
         )
 
+    @cached_property
+    def _last(self) -> tuple:  # ellipse_ref's last (t, value); nan matches no t
+        return (nan, None)
+
 
 def ellipse_ref(t: float, spec: EllipseSpec) -> tuple:
     """The (xi_d, ff) pair of the ellipse at time t.
@@ -77,6 +83,9 @@ def ellipse_ref(t: float, spec: EllipseSpec) -> tuple:
     Per axis the position is c + A cos(wt) + B sin(wt), so every
     derivative is analytic and the 4th derivative is w^4 (pos - c).
     """
+    last_t, value = spec._last
+    if t == last_t and t:  # 0.0 == -0.0, but their sines differ in sign
+        return value
     # position = center + (A, B) acting on (cos, sin) per axis
     c1, c2, A1, B1, A2, B2, w, nw2, w3, w4 = spec._table
     cw, sw = cos(w * t), sin(w * t)
@@ -88,7 +97,9 @@ def ellipse_ref(t: float, spec: EllipseSpec) -> tuple:
     q2 = A2 * cw + B2 * sw
     j1 = w3 * (A1 * sw - B1 * cw)
     j2 = w3 * (A2 * sw - B2 * cw)
-    return (p1, v1, nw2 * q1, j1, p2, v2, nw2 * q2, j2), (w4 * q1, w4 * q2)
+    value = (p1, v1, nw2 * q1, j1, p2, v2, nw2 * q2, j2), (w4 * q1, w4 * q2)
+    spec.__dict__["_last"] = (t, value)
+    return value
 
 
 @dataclass(frozen=True)

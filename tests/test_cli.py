@@ -186,12 +186,15 @@ def test_gains_command_rejects_non_finite(capsys, poles):
 # Hurwitz poles whose roots the solve loses: in the first set the scaled
 # coefficients c[0] and c[1] underflow to 0.0, and four roots came out at
 # real part +5.14e+172; in the second no coefficient underflows, and four
-# came out at +2.14e-05.
+# came out at +2.14e-05; in the third the lost pair is stable, -7.08e+57 ±
+# 3.66e+57j, 0.61 relative from the nearest pole.
 @pytest.mark.parametrize("poles, why", [
     (("-2.677516192177067e-29", "-7.301828835501891e+35", "-3.360086163398219e+254",
       "-2.454946656957589e-21"), "underflow once scaled"),
     (("-6.798880776241447e+113", "-3.042844131603314e-10", "-6.161371557075068e+80",
       "-2.8570533532887847e-15"), "that is not stable"),
+    (("-6.535892059736868e+60", "-2.204211412791916e-21", "-1.4053506538230146e+130",
+      "-1.6623035258757984e+58"), "1e-3 off every pole"),
 ])
 def test_gains_prints_no_root_it_lost(capsys, poles, why):
     rc = run_cli(["gains", "--", *poles])
@@ -200,6 +203,15 @@ def test_gains_prints_no_root_it_lost(capsys, poles, why):
     assert captured.out == ""
     assert captured.err.startswith("error: gains (") and captured.err.count("\n") == 1
     assert why in captured.err
+
+
+@pytest.mark.parametrize("pole", ["-4", "-1e-3", "-1e5", "-1e70"])
+def test_gains_prints_repeated_poles(capsys, pole):
+    # a four-fold root moves by about eps ** (1/4): these land up to 1.7e-4 off
+    assert run_cli(["gains", "--", *[pole] * 4]) == 0
+    eigs = [line.split(": ")[1] for line in capsys.readouterr().out.splitlines()[4:]]
+    assert len(eigs) == 8
+    assert all(abs(complex(e) - float(pole)) <= 2e-4 * -float(pole) for e in eigs)
 
 
 @pytest.mark.parametrize("poles", ["0.5, -4, -5, -5.5", "nan, -4, -5, -5.5"])

@@ -219,8 +219,11 @@ def test_known_kernel_is_the_adaptive_kernel_on_chi():
 
 
 def _layered_loop(cfg):
-    """(deriv, record) of cfg assembled from the layered functions the kernel inlines."""
-    p, est, traj = cfg.plant, cfg.est, cfg.traj
+    """(deriv, record) of cfg assembled from the layered functions the kernel inlines.
+
+    Its trajectory spec is a copy, so it shares no ellipse_ref memo with the kernel.
+    """
+    p, est, traj = cfg.plant, cfg.est, replace(cfg.traj)
     ref = ellipse_ref if isinstance(traj, EllipseSpec) else hilbert_ref
 
     def control(chi, theta, t):
@@ -271,7 +274,9 @@ def test_kernel_matches_the_layered_functions(cfg):
     # The kernel inlines the layered functions; on random states it must
     # give their derivative and logged row bit for bit, and their abort
     # below U_MIN. Theta entries at and below THETA_FLOOR, a NaN entry and
-    # the dead zone's zero start state are included.
+    # the dead zone's zero start state are included. Each state is evaluated
+    # at t twice, so the second call of each function meets the memoized
+    # reference of the first.
     rng = np.random.default_rng(16)
     kernel, layered = _closed_loop(cfg), _layered_loop(cfg)
     thetas = [(THETA_FLOOR, 1.0), (0.5 * THETA_FLOOR, THETA_FLOOR), (-0.3, 0.0), (2.0, -5.0),
@@ -284,7 +289,7 @@ def test_kernel_matches_the_layered_functions(cfg):
         rest = [0.0] * 11 if i % 10 == 0 else [float(v) for v in rng.normal(size=11)]
         y = chi + [float(v) for v in theta] + rest if cfg.adaptive else chi
         t = float(rng.uniform(0.0, cfg.t_end + 5.0))
-        for got, want in zip(kernel, layered):
+        for got, want in [*zip(kernel, layered)] * 2:
             assert _outcome(got, y, t) == _outcome(want, y, t)
     # The guards at their edges: chi7 at U_MIN and one float inside it, and
     # theta entries at THETA_FLOOR and one float below it (a known run's
@@ -296,7 +301,7 @@ def test_kernel_matches_the_layered_functions(cfg):
             chi[6] = x7
             y = chi + [*theta, *(float(v) for v in rng.normal(size=11))] if cfg.adaptive else chi
             t = float(rng.uniform(0.0, cfg.t_end + 5.0))
-            for got, want in zip(kernel, layered):
+            for got, want in [*zip(kernel, layered)] * 2:
                 outcome = _outcome(got, y, t)
                 assert outcome == _outcome(want, y, t)
                 assert (outcome[0] is SingularThrust) == (abs(x7) < U_MIN)

@@ -249,3 +249,28 @@ def test_built_table_leaves_spec_identity_alone():
         assert cfg == fresh and cfg.traj == fresh.traj
         assert hash(cfg) == hash(fresh) and hash(cfg.traj) == hash(fresh.traj)
         assert repr(cfg.traj) == repr(fresh.traj)
+
+
+def test_ellipse_memo_in_the_rk4_pattern_matches_per_call_formula():
+    # RK4 asks for t, t + h/2 twice and t + h, then the logged row or the next
+    # step asks for (i + 1) h; two specs interleave on shared times, and 0.0
+    # and -0.0 compare equal but give sines of opposite sign, which the
+    # untilted ellipse's zero coefficients carry into its output.
+    specs = [EllipseSpec(a=4.2, b=2.6, phi_deg=p, omega=w)
+             for p, w in [(45.0, 1.0), (-17.5, 0.73), (130.0, 2.4)]]
+    specs.append(EllipseSpec(phi_deg=0.0))
+    fresh = [replace(spec) for spec in specs]
+    h = 1e-3
+    groups = [(spec,) for spec in specs] + [(specs[0], specs[1]), (specs[2], specs[3])]
+    for group in groups:
+        for t in [0.0, -0.0, -0.0, 0.0]:
+            for spec in group:
+                assert _bits(ellipse_ref(t, spec)) == _bits(_ellipse_ref_per_call(t, spec)), t
+        for i in range(2000):
+            t = i * h
+            for s in (t, t + h / 2, t + h / 2, t + h, (i + 1) * h):
+                for spec in group:
+                    assert _bits(ellipse_ref(s, spec)) == _bits(_ellipse_ref_per_call(s, spec)), s
+    for spec, new in zip(specs, fresh):
+        assert "_last" in vars(spec) and "_last" not in vars(new)
+        assert spec == new and hash(spec) == hash(new) and repr(spec) == repr(new)
